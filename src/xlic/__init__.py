@@ -63,9 +63,7 @@ from .polynomial import (
     ls_fit,
     pc_complexity,
     pc_param_count,
-    reconstruct,
     tc_complexity,
-    tc_fit,
     tc_param_count,
 )
 from .rf_chain import IqImbalance, PaModel, apply_iq_mixer, apply_pa, transmit_chain

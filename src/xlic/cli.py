@@ -9,14 +9,16 @@ Subcommands:
 
 All randomness flows from the config's root seed, outputs are written
 atomically, and reruns with the same inputs produce byte-identical files
-(no timestamps). Every error path exits nonzero with a single
-``error: <where>: <what>`` line on stderr.
+(no timestamps) at a fixed BLAS thread count. Concurrent ``run``
+processes may append to one results CSV. Every error path exits nonzero
+with a single ``error: <where>: <what>`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import fcntl
 import io
 import os
 import sys
@@ -83,10 +85,17 @@ def _result_row(res: CancellerResult) -> dict:
 def _atomic_write_text(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
-    tmp = os.path.join(directory, f".tmp-{os.path.basename(path)}")
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    # A name of its own per write, so concurrent writers never share a file.
+    name = f".tmp-{os.urandom(8).hex()}-{os.path.basename(path)}"
+    tmp = os.path.join(directory, name)
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _write_csv(path: str, fields: list[str], rows: list[dict]) -> None:
@@ -98,10 +107,20 @@ def _write_csv(path: str, fields: list[str], rows: list[dict]) -> None:
 
 
 def _append_csv(path: str, fields: list[str], rows: list[dict]) -> None:
-    existing: list[dict] = []
-    if os.path.exists(path):
-        existing = _read_csv(path, fields)
-    _write_csv(path, fields, existing + rows)
+    """Add rows to a CSV; concurrent appenders take turns and lose none.
+
+    The lock is held on the file's directory, since the atomic write
+    replaces the file itself.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    lock = os.open(directory, os.O_RDONLY)
+    try:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        existing = _read_csv(path, fields) if os.path.exists(path) else []
+        _write_csv(path, fields, existing + rows)
+    finally:
+        os.close(lock)  # releases the lock
 
 
 def _read_csv(path: str, required_fields: list[str]) -> list[dict]:
@@ -130,10 +149,7 @@ def _out_path(args_out: str | None, default_name: str) -> str:
 def _load_run_config(path: str, seed_override: int | None) -> RunConfig:
     if not os.path.exists(path):
         raise CliError(f"config: file not found: {path}")
-    try:
-        cfg = load_config(path)
-    except ConfigError as exc:
-        raise CliError(f"config: {exc}") from exc
+    cfg = load_config(path)
     if seed_override is not None:
         cfg.seed = seed_override
     return cfg

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import zlib
 from dataclasses import dataclass, field
 
@@ -186,6 +187,15 @@ class CancellerSettings:
     nnc_hidden: int = 300
     hc_hidden: int = 200
 
+    def __post_init__(self):
+        if self.order < 1 or self.order % 2 == 0:
+            raise ConfigError(
+                f"canceller.order: must be odd and >= 1, got {self.order}"
+            )
+        for name in ("nnc_hidden", "hc_hidden"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"canceller.{name}: must be >= 1")
+
 
 @dataclass
 class TrainSettings:
@@ -205,6 +215,12 @@ class TrainSettings:
             raise ConfigError("training.learning_rate: must be >= 0")
         if self.epochs < 1:
             raise ConfigError("training.epochs: must be >= 1")
+        # Adam divides by 1 - beta**t and by sqrt(v) + epsilon.
+        for name in ("beta1", "beta2"):
+            if not (0.0 <= getattr(self, name) < 1.0):
+                raise ConfigError(f"training.{name}: must be in [0, 1)")
+        if not (self.epsilon > 0):
+            raise ConfigError("training.epsilon: must be > 0")
 
 
 @dataclass
@@ -244,11 +260,41 @@ def _reject_unknown(data: dict, where: str) -> dict:
     return {}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _expect_int(data: dict, key: str, default: int) -> int:
     value = data.pop(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise ConfigError(f"{key}: expected an integer, got {value!r}")
     return value
+
+
+# Scalar field annotation -> (what a value must be, its test). Nested
+# settings (iq, pa, ofdm) are checked by their own _build.
+_FIELD_TYPES = {
+    "int": ("an integer", _is_int),
+    "float": (
+        "a finite number",
+        lambda v: _is_int(v) or isinstance(v, float) and math.isfinite(v),
+    ),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "list": ("a list", lambda v: isinstance(v, list)),
+}
+
+
+def _check_type(value, annotation: str, where: str) -> None:
+    """Reject a value that does not fit its field's annotation.
+
+    A ``| None`` annotation also takes null.
+    """
+    kind, _, rest = annotation.partition(" | ")
+    if value is None and rest == "None" or kind not in _FIELD_TYPES:
+        return
+    expected, fits = _FIELD_TYPES[kind]
+    if not fits(value):
+        raise ConfigError(f"{where}: expected {expected}, got {value!r}")
 
 
 def _build(cls, data, where: str):
@@ -271,12 +317,11 @@ def _build(cls, data, where: str):
                 raise ConfigError(f"{where}.{f.name}: expected an object or list of objects")
         elif f.name == "ofdm":
             value = _build(OfdmSettings, value, f"{where}.ofdm")
+        else:
+            _check_type(value, f.type, f"{where}.{f.name}")
         kwargs[f.name] = value
     _reject_unknown(data, where)
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    return cls(**kwargs)
 
 
 def load_config(path) -> RunConfig:

@@ -3,13 +3,15 @@
 One hidden ReLU layer between a real-valued input (delay-line windows of
 transmit samples) and a real-valued output (interleaved I/Q of the
 interference estimate). The loss is the per-sample squared L2 norm of the
-output error averaged over the batch. Everything is plain NumPy; training
-is single-threaded and bit-deterministic for a fixed seed.
+output error averaged over the batch. Everything is plain NumPy. Training
+has one step, ``adam_step(model, state, backward(model, xb, yb), cfg)``,
+the same one the gradient check and the Adam tests exercise; it is
+bit-deterministic for a fixed seed at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -174,16 +176,27 @@ class AdamState:
 def adam_step(
     model: FnnModel, state: AdamState, grads: Gradients, cfg: TrainSettings
 ) -> tuple[FnnModel, AdamState]:
-    """One bias-corrected Adam update. Mutates and returns model and state."""
+    """One bias-corrected Adam update. Mutates and returns model and state.
+
+    Kingma & Ba, "Adam: A Method for Stochastic Optimization", ICLR 2015.
+    The bias corrections are applied as reciprocals ``c1 = 1/(1-beta1^t)``
+    and ``c2 = 1/(1-beta2^t)``; trained weights depend on this form, and
+    on the order of the operations below, in their last bits.
+    """
     state.t += 1
-    c1 = 1.0 - cfg.beta1**state.t
-    c2 = 1.0 - cfg.beta2**state.t
+    c1 = 1.0 / (1.0 - cfg.beta1**state.t)
+    c2 = 1.0 / (1.0 - cfg.beta2**state.t)
     for p, g, m, v in zip(model.params(), grads.params(), state.m, state.v):
         m *= cfg.beta1
         m += (1.0 - cfg.beta1) * g
         v *= cfg.beta2
         v += (1.0 - cfg.beta2) * (g * g)
-        p -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + cfg.epsilon)
+        buf = v * c2
+        np.sqrt(buf, out=buf)
+        buf += cfg.epsilon
+        np.divide(m, buf, out=buf)
+        buf *= cfg.learning_rate * c1
+        p -= buf
     return model, state
 
 
@@ -211,7 +224,8 @@ def train(
     """Mini-batch Adam training with per-epoch loss history.
 
     One epoch is a full pass over the training set in seeded shuffled
-    order (``shuffle_seed`` overrides ``cfg.seed``). The returned model
+    order (``shuffle_seed`` overrides ``cfg.seed``); each batch takes one
+    :func:`adam_step` on its :func:`backward` gradients. The returned model
     carries the weights of the epoch with the lowest test loss; the input
     model is trained in place to the final epoch.
     """
@@ -227,13 +241,6 @@ def train(
     state = AdamState.for_model(model)
     batch = cfg.batch_size
 
-    # Preallocated per-batch work buffers; tail batches use leading slices.
-    z1 = np.empty((batch, model.n_hidden))
-    dh = np.empty((batch, model.n_hidden))
-    pred = np.empty((batch, model.n_out))
-    g = Gradients(*(np.empty_like(p) for p in model.params()))
-    scratch = [np.empty_like(p) for p in model.params()]
-
     train_losses: list[float] = []
     test_losses: list[float] = []
     best_loss = np.inf
@@ -247,40 +254,7 @@ def train(
         for start in range(0, n_train, batch):
             xb = xs[start : start + batch]
             yb = ys[start : start + batch]
-            b = xb.shape[0]
-            z = z1[:b]
-            np.dot(xb, model.w_hidden.T, out=z)
-            z += model.b_hidden
-            np.maximum(z, 0.0, out=z)  # hidden activations, in place
-            pr = pred[:b]
-            np.dot(z, model.w_out.T, out=pr)
-            pr += model.b_out
-            pr -= yb
-            pr *= 2.0 / b  # output-layer gradient
-            np.dot(pr.T, z, out=g.w_out)
-            pr.sum(axis=0, out=g.b_out)
-            d = dh[:b]
-            np.dot(pr, model.w_out, out=d)
-            d[z <= 0.0] = 0.0
-            np.dot(d.T, xb, out=g.w_hidden)
-            d.sum(axis=0, out=g.b_hidden)
-
-            state.t += 1
-            c1 = 1.0 / (1.0 - cfg.beta1**state.t)
-            c2 = 1.0 / (1.0 - cfg.beta2**state.t)
-            for p, gr, m, v, buf in zip(
-                model.params(), g.params(), state.m, state.v, scratch
-            ):
-                m *= cfg.beta1
-                m += (1.0 - cfg.beta1) * gr
-                v *= cfg.beta2
-                v += (1.0 - cfg.beta2) * (gr * gr)
-                np.multiply(v, c2, out=buf)
-                np.sqrt(buf, out=buf)
-                buf += cfg.epsilon
-                np.divide(m, buf, out=buf)
-                buf *= cfg.learning_rate * c1
-                p -= buf
+            adam_step(model, state, backward(model, xb, yb), cfg)
 
         train_losses.append(loss_mse(forward(model, x_train), y_train))
         test_losses.append(loss_mse(forward(model, x_test), y_test))
@@ -322,25 +296,11 @@ def save_model(model: FnnModel, path, extra_meta: dict | None = None) -> None:
     meta = {"n_in": model.n_in, "n_hidden": model.n_hidden, "n_out": model.n_out}
     if extra_meta:
         meta.update(extra_meta)
-    container.write_container(
-        path,
-        MODEL_KIND,
-        meta,
-        {
-            "w_hidden": model.w_hidden,
-            "b_hidden": model.b_hidden,
-            "w_out": model.w_out,
-            "b_out": model.b_out,
-        },
-    )
+    arrays = {f.name: getattr(model, f.name) for f in fields(FnnModel)}
+    container.write_container(path, MODEL_KIND, meta, arrays)
 
 
 def load_model(path) -> tuple[FnnModel, dict]:
     _, meta, arrays = container.read_container(path, expected_kind=MODEL_KIND)
-    model = FnnModel(
-        w_hidden=arrays["w_hidden"],
-        b_hidden=arrays["b_hidden"],
-        w_out=arrays["w_out"],
-        b_out=arrays["b_out"],
-    )
+    model = FnnModel(**{f.name: arrays[f.name] for f in fields(FnnModel)})
     return model, meta

@@ -14,6 +14,11 @@ residual power in dBm and the canceller's parameter/complexity counts.
     nnc  feedforward network mapping regressor windows to I/Q outputs
     hc   tc first, then a network trained on the stage-1 residual
 
+Each idea has one implementation: ``_linear_fit`` is the LS fit of tc,
+pc and hc's stage 1; ``_fit_network`` trains and scores the networks of
+nnc and hc; the ``COUNTS`` table gives every canceller's parameter and
+complexity counts, for scored rows and for counts-only sweeps alike.
+
 A perfectly cancelled window (zero residual) is reported as "above
 measurable range" (infinite ratio) rather than a number.
 """
@@ -82,6 +87,16 @@ def hc_complexity(n_rx: int, n_tx: int, memory: int, n_paths: int, n_hidden: int
     )
 
 
+# Real-parameter and real-operation counts per canceller, called as
+# ``(n_rx, n_tx, memory, n_paths[, setting])``; only memory + n_paths matters.
+COUNTS = {
+    "tc": (tc_param_count, tc_complexity),
+    "pc": (pc_param_count, pc_complexity),
+    "nnc": (nnc_param_count, nnc_complexity),
+    "hc": (hc_param_count, hc_complexity),
+}
+
+
 @dataclass
 class CancellerResult:
     """Score card for one canceller on one dataset."""
@@ -131,31 +146,43 @@ def deinterleave_iq(y: np.ndarray) -> np.ndarray:
     return (y[:, 0::2] + 1j * y[:, 1::2]).T
 
 
-def _scenario_meta(ds: CliDataset) -> dict:
-    return ds.meta.get("scenario", {}) if isinstance(ds.meta, dict) else {}
-
-
 def _noise_floor(ds: CliDataset) -> float:
-    meta = _scenario_meta(ds)
+    meta = ds.meta.get("scenario", {}) if isinstance(ds.meta, dict) else {}
     if meta.get("noise_enabled", False):
         return float(meta.get("awgn_power_dbm", -np.inf))
     return -np.inf
 
 
-def _score(
-    canceller: str,
-    ds: CliDataset,
-    s_test: np.ndarray,
-    s_hat: np.ndarray,
-    n_params: int,
-    complexity: int,
-    **extra,
-) -> CancellerResult:
+def _counted(canceller: str, ds: CliDataset, setting: int | None, **extra):
+    """Result row with ``canceller``'s counts at ``setting`` (None for tc)."""
+    param_count, complexity = COUNTS[canceller]
+    shape = (ds.n_rx, ds.n_tx, 0, ds.window_depth)
+    if setting is not None:
+        shape += (setting,)
     return CancellerResult(
         canceller=canceller,
         seed=ds.meta.get("seed") if isinstance(ds.meta, dict) else None,
-        n_params=n_params,
-        complexity=complexity,
+        n_params=param_count(*shape),
+        complexity=complexity(*shape),
+        setting=setting,
+        **extra,
+    )
+
+
+def _score(
+    canceller: str,
+    ds: CliDataset,
+    setting: int | None,
+    s_hat: np.ndarray,
+    **extra,
+) -> CancellerResult:
+    """Counted result row scoring ``s_hat`` against the test labels."""
+    labels, split_row = _aligned_labels(ds)
+    s_test = labels[:, split_row:]
+    return _counted(
+        canceller,
+        ds,
+        setting,
         c_db=cancellation_db(s_test, s_hat),
         residual_power_dbm=residual_power_dbm(s_test, s_hat),
         rx_power_dbm=measure_power_dbm(s_test),
@@ -164,42 +191,26 @@ def _score(
     )
 
 
-def run_tc(ds: CliDataset, ridge: float = 0.0) -> CancellerResult:
-    """Fit and score the linear (CSI-style) canceller."""
+def _linear_fit(ds: CliDataset, spec: BasisSpec, ridge: float = 0.0, all_rows=False):
+    """LS-fit ``spec`` on the training rows; estimate the test rows, or all rows."""
     labels, split_row = _aligned_labels(ds)
-    spec = BasisSpec.linear(ds.n_tx, ds.window_depth)
     basis = build_basis_matrix(ds.tx, spec)
     coeffs = ls_fit(basis[:split_row], labels[:, :split_row], spec, ridge=ridge)
-    s_hat = apply_basis(coeffs, basis[split_row:])
-    # Only the sum memory+paths enters the counting formulas.
-    return _score(
-        "tc",
-        ds,
-        labels[:, split_row:],
-        s_hat,
-        tc_param_count(ds.n_rx, ds.n_tx, 0, ds.window_depth),
-        tc_complexity(ds.n_rx, ds.n_tx, 0, ds.window_depth),
-        artifacts={"coefficients": coeffs},
-    )
+    return coeffs, apply_basis(coeffs, basis if all_rows else basis[split_row:])
+
+
+def run_tc(ds: CliDataset, ridge: float = 0.0) -> CancellerResult:
+    """Fit and score the linear (CSI-style) canceller."""
+    spec = BasisSpec.linear(ds.n_tx, ds.window_depth)
+    coeffs, s_hat = _linear_fit(ds, spec, ridge=ridge)
+    return _score("tc", ds, None, s_hat, artifacts={"coefficients": coeffs})
 
 
 def run_pc(ds: CliDataset, order: int = 3, ridge: float = 0.0) -> CancellerResult:
     """Fit and score the polynomial canceller of the given odd order."""
-    labels, split_row = _aligned_labels(ds)
     spec = BasisSpec(n_tx=ds.n_tx, depth=ds.window_depth, order=order)
-    basis = build_basis_matrix(ds.tx, spec)
-    coeffs = ls_fit(basis[:split_row], labels[:, :split_row], spec, ridge=ridge)
-    s_hat = apply_basis(coeffs, basis[split_row:])
-    return _score(
-        "pc",
-        ds,
-        labels[:, split_row:],
-        s_hat,
-        pc_param_count(ds.n_rx, ds.n_tx, 0, ds.window_depth, order),
-        pc_complexity(ds.n_rx, ds.n_tx, 0, ds.window_depth, order),
-        setting=order,
-        artifacts={"coefficients": coeffs},
-    )
+    coeffs, s_hat = _linear_fit(ds, spec, ridge=ridge)
+    return _score("pc", ds, order, s_hat, artifacts={"coefficients": coeffs})
 
 
 def _train_seed(ds: CliDataset, canceller: str, cfg: TrainSettings, purpose: str):
@@ -209,19 +220,33 @@ def _train_seed(ds: CliDataset, canceller: str, cfg: TrainSettings, purpose: str
     return derive_rng(root, purpose, canceller)
 
 
-def _c_db_history(signal_power: float, test_losses, scale: float, n_test: int):
-    denom = np.asarray(test_losses) * n_test * scale**2
-    with np.errstate(divide="ignore"):
-        return list(10.0 * np.log10(signal_power / denom))
+def _fit_network(
+    ds: CliDataset,
+    canceller: str,
+    n_hidden: int,
+    cfg: TrainSettings,
+    target: np.ndarray,
+    scale: float,
+    base: np.ndarray | float,
+    artifacts: dict,
+) -> CancellerResult:
+    """Train a network on ``target / scale`` and score ``base`` plus its output.
 
-
-def run_nnc(ds: CliDataset, n_hidden: int, cfg: TrainSettings) -> CancellerResult:
-    """Train and score the network canceller."""
+    ``target`` is aligned with the labels. ``base`` is the estimate over
+    the test rows that the network's output adds to: 0 for nnc, the
+    stage-1 estimate for hc, whose network starts from ``residual=True``.
+    The per-epoch C_dB history follows from the test losses, which are
+    mean squared errors in units of ``scale``.
+    """
     labels, split_row = _aligned_labels(ds)
     x = build_regressors(ds.tx, ds.window_depth) / ds.input_scale
-    y = interleave_iq(labels) / ds.label_scale
+    y = interleave_iq(target) / scale
     model = FnnModel.initialize(
-        x.shape[1], n_hidden, y.shape[1], _train_seed(ds, "nnc", cfg, "init")
+        x.shape[1],
+        n_hidden,
+        y.shape[1],
+        _train_seed(ds, canceller, cfg, "init"),
+        residual=canceller == "hc",
     )
     fit = train(
         model,
@@ -230,32 +255,40 @@ def run_nnc(ds: CliDataset, n_hidden: int, cfg: TrainSettings) -> CancellerResul
         x[split_row:],
         y[split_row:],
         cfg,
-        shuffle_seed=_train_seed(ds, "nnc", cfg, "shuffle"),
+        shuffle_seed=_train_seed(ds, canceller, cfg, "shuffle"),
     )
     s_test = labels[:, split_row:]
-    pred = forward(fit.model, x[split_row:]) * ds.label_scale
-    s_hat = deinterleave_iq(pred)
+    pred = forward(fit.model, x[split_row:]) * scale
     signal_power = float(np.sum(np.abs(s_test) ** 2))
+    denom = np.asarray(fit.test_losses) * s_test.shape[1] * scale**2
+    with np.errstate(divide="ignore"):
+        c_db_history = list(10.0 * np.log10(signal_power / denom))
     return _score(
-        "nnc",
+        canceller,
         ds,
-        s_test,
-        s_hat,
-        nnc_param_count(ds.n_rx, ds.n_tx, 0, ds.window_depth, n_hidden),
-        nnc_complexity(ds.n_rx, ds.n_tx, 0, ds.window_depth, n_hidden),
+        n_hidden,
+        base + deinterleave_iq(pred),
         epochs=fit.epochs,
         best_epoch=fit.best_epoch,
-        setting=n_hidden,
         train_losses=fit.train_losses,
         test_losses=fit.test_losses,
-        c_db_history=_c_db_history(
-            signal_power, fit.test_losses, ds.label_scale, s_test.shape[1]
-        ),
-        artifacts={
-            "model": fit.model,
-            "input_scale": ds.input_scale,
-            "label_scale": ds.label_scale,
-        },
+        c_db_history=c_db_history,
+        artifacts={"model": fit.model, "input_scale": ds.input_scale, **artifacts},
+    )
+
+
+def run_nnc(ds: CliDataset, n_hidden: int, cfg: TrainSettings) -> CancellerResult:
+    """Train and score the network canceller."""
+    labels, _ = _aligned_labels(ds)
+    return _fit_network(
+        ds,
+        "nnc",
+        n_hidden,
+        cfg,
+        labels,
+        ds.label_scale,
+        0.0,
+        {"label_scale": ds.label_scale},
     )
 
 
@@ -280,55 +313,18 @@ def run_hc(ds: CliDataset, n_hidden: int, cfg: TrainSettings) -> CancellerResult
     """
     labels, split_row = _aligned_labels(ds)
     spec = BasisSpec.linear(ds.n_tx, ds.window_depth)
-    basis = build_basis_matrix(ds.tx, spec)
-    coeffs = ls_fit(basis[:split_row], labels[:, :split_row], spec)
-    s_lin = apply_basis(coeffs, basis)
-
+    coeffs, s_lin = _linear_fit(ds, spec, all_rows=True)
     residual = labels - s_lin
     residual_scale = float(np.abs(residual[:, :split_row]).max())
-    x = build_regressors(ds.tx, ds.window_depth) / ds.input_scale
-    y = interleave_iq(residual) / residual_scale
-    model = FnnModel.initialize(
-        x.shape[1],
-        n_hidden,
-        y.shape[1],
-        _train_seed(ds, "hc", cfg, "init"),
-        residual=True,
-    )
-    fit = train(
-        model,
-        x[:split_row],
-        y[:split_row],
-        x[split_row:],
-        y[split_row:],
-        cfg,
-        shuffle_seed=_train_seed(ds, "hc", cfg, "shuffle"),
-    )
-    s_test = labels[:, split_row:]
-    pred = forward(fit.model, x[split_row:]) * residual_scale
-    s_hat = s_lin[:, split_row:] + deinterleave_iq(pred)
-    signal_power = float(np.sum(np.abs(s_test) ** 2))
-    return _score(
-        "hc",
+    return _fit_network(
         ds,
-        s_test,
-        s_hat,
-        hc_param_count(ds.n_rx, ds.n_tx, 0, ds.window_depth, n_hidden),
-        hc_complexity(ds.n_rx, ds.n_tx, 0, ds.window_depth, n_hidden),
-        epochs=fit.epochs,
-        best_epoch=fit.best_epoch,
-        setting=n_hidden,
-        train_losses=fit.train_losses,
-        test_losses=fit.test_losses,
-        c_db_history=_c_db_history(
-            signal_power, fit.test_losses, residual_scale, s_test.shape[1]
-        ),
-        artifacts={
-            "model": fit.model,
-            "stage1": coeffs,
-            "input_scale": ds.input_scale,
-            "residual_scale": residual_scale,
-        },
+        "hc",
+        n_hidden,
+        cfg,
+        residual,
+        residual_scale,
+        s_lin[:, split_row:],
+        {"stage1": coeffs, "residual_scale": residual_scale},
     )
 
 
@@ -351,14 +347,8 @@ def run_canceller(
     raise ValueError(f"unknown canceller '{canceller}' (expected one of {CANCELLERS})")
 
 
-def _count_only(canceller, ds, n_params, complexity, setting) -> CancellerResult:
-    return CancellerResult(
-        canceller=canceller,
-        seed=ds.meta.get("seed") if isinstance(ds.meta, dict) else None,
-        n_params=n_params,
-        complexity=complexity,
-        setting=setting,
-    )
+# Sweep axis -> the run_canceller argument it sets and the cancellers it covers.
+SWEEP_AXES = {"P": ("order", ("pc",)), "nh": ("n_hidden", ("nnc", "hc"))}
 
 
 def sweep(
@@ -375,47 +365,15 @@ def sweep(
     cancellers. With ``with_performance=False`` only the counting columns
     are filled (no fitting or training).
     """
-    depth = ds.window_depth
-    rows: list[CancellerResult] = []
-    if axis == "P":
-        for order in values:
-            if with_performance:
-                rows.append(run_pc(ds, order=order))
-            else:
-                rows.append(
-                    _count_only(
-                        "pc",
-                        ds,
-                        pc_param_count(ds.n_rx, ds.n_tx, 0, depth, order),
-                        pc_complexity(ds.n_rx, ds.n_tx, 0, depth, order),
-                        order,
-                    )
-                )
-    elif axis == "nh":
-        cfg = train_cfg or TrainSettings()
-        for n_hidden in values:
-            if with_performance:
-                rows.append(run_nnc(ds, n_hidden, cfg))
-                rows.append(run_hc(ds, n_hidden, cfg))
-            else:
-                rows.append(
-                    _count_only(
-                        "nnc",
-                        ds,
-                        nnc_param_count(ds.n_rx, ds.n_tx, 0, depth, n_hidden),
-                        nnc_complexity(ds.n_rx, ds.n_tx, 0, depth, n_hidden),
-                        n_hidden,
-                    )
-                )
-                rows.append(
-                    _count_only(
-                        "hc",
-                        ds,
-                        hc_param_count(ds.n_rx, ds.n_tx, 0, depth, n_hidden),
-                        hc_complexity(ds.n_rx, ds.n_tx, 0, depth, n_hidden),
-                        n_hidden,
-                    )
-                )
-    else:
+    if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis '{axis}' (expected 'P' or 'nh')")
+    arg, cancellers = SWEEP_AXES[axis]
+    rows: list[CancellerResult] = []
+    for value in values:
+        for canceller in cancellers:
+            if with_performance:
+                row = run_canceller(ds, canceller, train_cfg=train_cfg, **{arg: value})
+            else:
+                row = _counted(canceller, ds, value)
+            rows.append(row)
     return rows

@@ -173,32 +173,17 @@ def ls_fit(
     return PolyCoefficients(basis=spec, weights=solution.T)
 
 
-def reconstruct(coeffs: PolyCoefficients, tx: np.ndarray) -> np.ndarray:
-    """Rebuild the interference estimate from fitted coefficients.
-
-    Returns shape ``(n_rx, n - depth + 1)``, aligned with the basis rows.
-    """
-    basis = build_basis_matrix(tx, coeffs.basis)
-    return apply_basis(coeffs, basis)
-
-
 def apply_basis(coeffs: PolyCoefficients, basis: np.ndarray) -> np.ndarray:
-    """Like :func:`reconstruct` but reusing a prebuilt basis matrix."""
+    """Interference estimate of fitted coefficients over prebuilt basis rows.
+
+    Returns shape ``(n_rx, n_rows)``, aligned with the basis rows.
+    """
     if basis.shape[1] != coeffs.basis.n_terms:
         raise ValueError(
             f"basis has {basis.shape[1]} columns, coefficients expect "
             f"{coeffs.basis.n_terms}"
         )
     return (basis @ coeffs.weights.T).T
-
-
-def tc_fit(
-    tx: np.ndarray, labels: np.ndarray, depth: int, ridge: float = 0.0
-) -> PolyCoefficients:
-    """Linear-only fit (CSI-style canceller): FIR taps per (rx, tx) pair."""
-    tx = np.atleast_2d(np.asarray(tx, dtype=np.complex128))
-    spec = BasisSpec.linear(tx.shape[0], depth)
-    return ls_fit(build_basis_matrix(tx, spec), labels, spec, ridge=ridge)
 
 
 def pc_param_count(n_rx: int, n_tx: int, memory: int, n_paths: int, order: int) -> int:

@@ -87,6 +87,30 @@ class TestGenerate:
         assert err.startswith("error:")
         assert err.count("\n") == 1  # single-line diagnostic
 
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("scenario", "n_samples", 4000.5),
+            ("scenario", "n_rx", True),
+            ("scenario", "tx_power_dbm", float("nan")),
+            ("canceller", "order", 4),
+            ("training", "beta1", 1.0),
+        ],
+    )
+    def test_bad_value_rejected_at_load(self, tmp_path, capsys, section, field, value):
+        path = small_config(tmp_path)
+        with open(path) as fh:
+            cfg = json.load(fh)
+        cfg[section][field] = value
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        out = tmp_path / "ds.bin"
+        assert run_cli("generate", "--config", path, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ConfigError: {section}.{field}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_seed_override_changes_bytes_same_shape(self, tmp_path):
         from xlic import load_dataset
 
@@ -155,6 +179,40 @@ class TestRun:
         rows = results.read_text().splitlines()
         assert len(rows) == 3
         assert rows[1].startswith("tc,") and rows[2].startswith("pc,")
+
+    def test_concurrent_appends_keep_every_row(self, tmp_path):
+        # two processes append 50 rows each to one CSV; none may be lost
+        import xlic
+
+        results = tmp_path / "results.csv"
+        script = (
+            "import sys\n"
+            "from xlic.cli import RESULT_FIELDS, _append_csv\n"
+            "for i in range(50):\n"
+            "    row = dict.fromkeys(RESULT_FIELDS, '')\n"
+            "    row.update(canceller=sys.argv[2], seed=str(i))\n"
+            "    _append_csv(sys.argv[1], RESULT_FIELDS, [row])\n"
+        )
+        src = os.path.dirname(os.path.dirname(xlic.__file__))
+        pythonpath = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": pythonpath}
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", script, str(results), name],
+                env=env,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for name in ("a", "b")
+        ]
+        for proc in procs:
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+        rows = results.read_text().splitlines()[1:]
+        assert sorted(r.split(",")[:2] for r in rows) == sorted(
+            [name, str(i)] for name in ("a", "b") for i in range(50)
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
 
     def test_unknown_canceller_usage_error(self, pipeline, capsys):
         cfg, ds, tmp = pipeline

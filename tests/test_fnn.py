@@ -248,6 +248,30 @@ class TestTrain:
         fit = train(model, x, y, x, y, cfg, shuffle_seed=8)
         assert np.all(np.isfinite(fit.train_losses))
 
+    def test_train_is_the_tested_step(self, rng):
+        # train must be exactly seeded permutation batches through
+        # adam_step(backward(...)); 37 rows at batch 8 end in a tail of 5
+        x = rng.standard_normal((37, 4))
+        y = rng.standard_normal((37, 2))
+        cfg = TrainSettings(epochs=3, batch_size=8, learning_rate=1e-2)
+        trained = FnnModel.initialize(4, 5, 2, seed=7)
+        fit = train(trained, x, y, x, y, cfg, shuffle_seed=8)
+
+        model = FnnModel.initialize(4, 5, 2, seed=7)
+        state = AdamState.for_model(model)
+        shuffle = np.random.default_rng(8)
+        losses = []
+        for _ in range(cfg.epochs):
+            order = shuffle.permutation(len(x))
+            for start in range(0, len(x), cfg.batch_size):
+                rows = order[start : start + cfg.batch_size]
+                adam_step(model, state, backward(model, x[rows], y[rows]), cfg)
+            losses.append(loss_mse(forward(model, x), y))
+        assert state.t == 3 * 5
+        assert fit.train_losses == losses
+        for a, b in zip(trained.params(), model.params()):
+            assert_array_equal(a, b)
+
 
 class TestCounts:
     def test_reference_values(self):

@@ -216,6 +216,20 @@ class TestSweep:
         nnc = [r.n_params for r in rows if r.canceller == "nnc"]
         assert nnc[2] - nnc[1] == nnc[1] - nnc[0] > 0
 
+    @pytest.mark.parametrize("axis, values", [("P", [1, 3]), ("nh", [4, 8])])
+    def test_counts_only_rows_match_performance_rows(self, small_ds, axis, values):
+        # the counting columns must not depend on whether the sweep trains
+        cfg = TrainSettings(epochs=1, learning_rate=1e-3)
+
+        def counts(rows):
+            return [(r.canceller, r.setting, r.n_params, r.complexity) for r in rows]
+
+        counted = sweep(small_ds, axis, values, train_cfg=cfg, with_performance=False)
+        scored = sweep(small_ds, axis, values, train_cfg=cfg, with_performance=True)
+        assert counts(counted) == counts(scored)
+        assert all(r.c_db is None for r in counted)
+        assert all(np.isfinite(r.c_db) for r in scored)
+
     def test_order_axis_with_performance(self, small_ds):
         rows = sweep(small_ds, "P", [1, 3], with_performance=True)
         assert all(np.isfinite(r.c_db) for r in rows)

@@ -15,9 +15,8 @@ from xlic import (
     ls_fit,
     pc_complexity,
     pc_param_count,
-    reconstruct,
+    run_tc,
     tc_complexity,
-    tc_fit,
     tc_param_count,
 )
 from xlic.polynomial import SingularBasisError, apply_basis
@@ -164,17 +163,9 @@ class TestReconstruct:
         spec = BasisSpec(n_tx=1, depth=2, order=3)
         coeffs = PolyCoefficients(spec, np.zeros((2, spec.n_terms), dtype=complex))
         tx = rng.standard_normal((1, 40)) + 1j * rng.standard_normal((1, 40))
-        assert_allclose(reconstruct(coeffs, tx), 0.0)
-
-    def test_training_residual_matches_ls(self, rng):
-        spec = BasisSpec(n_tx=1, depth=2, order=1)
-        tx = rng.standard_normal((1, 200)) + 1j * rng.standard_normal((1, 200))
-        basis = build_basis_matrix(tx, spec)
-        labels = rng.standard_normal((2, basis.shape[0])) + 1j * rng.standard_normal(
-            (2, basis.shape[0])
-        )
-        fitted = ls_fit(basis, labels, spec)
-        assert_allclose(reconstruct(fitted, tx), apply_basis(fitted, basis))
+        out = apply_basis(coeffs, build_basis_matrix(tx, spec))
+        assert out.shape == (2, 39)
+        assert_allclose(out, 0.0)
 
     def test_shape_mismatch_rejected(self, rng):
         spec = BasisSpec(n_tx=1, depth=2, order=1)
@@ -195,19 +186,12 @@ class TestTcFit:
             n_samples=3000,
         )
         ds = generate_dataset(sc, seed=17)
-        depth = ds.window_depth
-        labels = ds.rx[:, depth - 1 :]
-        fitted = tc_fit(ds.tx, labels, depth)
+        fitted = run_tc(ds).artifacts["coefficients"]
         # coefficient layout: antenna-major, lag-inner -> (n_rx, n_tx, depth)
-        est = fitted.weights.reshape(ds.n_rx, ds.n_tx, depth)
+        est = fitted.weights.reshape(ds.n_rx, ds.n_tx, ds.window_depth)
         true = np.asarray(ds.meta["channel_scale"]) * _drawn_channel(sc, 17).taps
         err = np.linalg.norm(est - true) / np.linalg.norm(true)
         assert err < 1e-6
-
-    def test_zero_labels_zero_taps(self, rng):
-        tx = rng.standard_normal((1, 100)) + 1j * rng.standard_normal((1, 100))
-        fitted = tc_fit(tx, np.zeros((1, 99), dtype=complex), depth=2)
-        assert_allclose(fitted.weights, 0.0, atol=1e-12)
 
 
 def _drawn_channel(sc, seed):
