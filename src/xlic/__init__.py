@@ -70,10 +70,8 @@ from .rf_chain import IqImbalance, PaModel, apply_iq_mixer, apply_pa, transmit_c
 from .scenario import (
     CliDataset,
     build_regressors,
-    denormalize,
     generate_dataset,
     load_dataset,
-    normalize,
     save_dataset,
 )
 from .waveform import OfdmConfig, generate_ofdm

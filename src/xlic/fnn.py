@@ -3,9 +3,10 @@
 One hidden ReLU layer between a real-valued input (delay-line windows of
 transmit samples) and a real-valued output (interleaved I/Q of the
 interference estimate). The loss is the per-sample squared L2 norm of the
-output error averaged over the batch. Everything is plain NumPy. Training
-has one step, ``adam_step(model, state, backward(model, xb, yb), cfg)``,
-the same one the gradient check and the Adam tests exercise; it is
+output error averaged over the batch. Everything is plain NumPy, and the
+weights, their gradients and the Adam moments are each one flat vector.
+Training has one step, ``adam_step(model, state, backward(model, xb, yb), cfg)``,
+the one the gradient check and the Adam tests exercise; it is
 bit-deterministic for a fixed seed at a fixed BLAS thread count.
 """
 
@@ -19,11 +20,12 @@ from . import container
 from .config import TrainSettings
 
 MODEL_KIND = "fnn-model"
+EVAL_ROWS = 2048  # rows per evaluation forward call; hidden array 4.9 MB at 300 units
 
 
 @dataclass
-class FnnModel:
-    """Weights of the three-layer network ``y = W_out relu(W_h x + b_h) + b_out``."""
+class _Params:
+    """Four arrays, copied into one float64 vector ``flat`` and viewed from it."""
 
     w_hidden: np.ndarray  # (n_hidden, n_in)
     b_hidden: np.ndarray  # (n_hidden,)
@@ -31,19 +33,29 @@ class FnnModel:
     b_out: np.ndarray  # (n_out,)
 
     def __post_init__(self):
-        self.w_hidden = np.asarray(self.w_hidden, dtype=np.float64)
-        self.b_hidden = np.asarray(self.b_hidden, dtype=np.float64)
-        self.w_out = np.asarray(self.w_out, dtype=np.float64)
-        self.b_out = np.asarray(self.b_out, dtype=np.float64)
+        arrays = [np.asarray(p, dtype=np.float64) for p in self.params()]
+        self.flat = np.concatenate([a.ravel() for a in arrays])
+        ends = np.cumsum([a.size for a in arrays])
+        for f, a, end in zip(fields(self), arrays, ends):
+            setattr(self, f.name, self.flat[end - a.size : end].reshape(a.shape))
+
+    def params(self) -> tuple[np.ndarray, ...]:
+        return (self.w_hidden, self.b_hidden, self.w_out, self.b_out)
+
+
+class FnnModel(_Params):
+    """Weights of the three-layer network ``y = W_out relu(W_h x + b_h) + b_out``."""
+
+    def __post_init__(self):
+        super().__post_init__()
         n_h, n_in = self.w_hidden.shape
         n_out = self.w_out.shape[0]
         if self.b_hidden.shape != (n_h,) or self.w_out.shape != (n_out, n_h):
             raise ValueError("inconsistent layer shapes")
         if self.b_out.shape != (n_out,):
             raise ValueError("inconsistent output bias shape")
-        for arr in (self.w_hidden, self.b_hidden, self.w_out, self.b_out):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("model weights must be finite")
+        if not np.all(np.isfinite(self.flat)):
+            raise ValueError("model weights must be finite")
 
     @property
     def n_in(self) -> int:
@@ -61,11 +73,8 @@ class FnnModel:
     def param_count(self) -> int:
         return (self.n_in + 1) * self.n_hidden + (self.n_hidden + 1) * self.n_out
 
-    def params(self) -> tuple[np.ndarray, ...]:
-        return (self.w_hidden, self.b_hidden, self.w_out, self.b_out)
-
     def copy(self) -> "FnnModel":
-        return FnnModel(*(p.copy() for p in self.params()))
+        return FnnModel(*self.params())
 
     @classmethod
     def initialize(
@@ -104,15 +113,8 @@ class FnnModel:
         )
 
 
-@dataclass
-class Gradients:
-    w_hidden: np.ndarray
-    b_hidden: np.ndarray
-    w_out: np.ndarray
-    b_out: np.ndarray
-
-    def params(self) -> tuple[np.ndarray, ...]:
-        return (self.w_hidden, self.b_hidden, self.w_out, self.b_out)
+class Gradients(_Params):
+    """Loss gradients, laid out as :class:`FnnModel` lays out its weights."""
 
 
 def forward(model: FnnModel, x: np.ndarray) -> np.ndarray:
@@ -122,8 +124,11 @@ def forward(model: FnnModel, x: np.ndarray) -> np.ndarray:
     x2 = np.atleast_2d(x)
     if x2.shape[1] != model.n_in:
         raise ValueError(f"input width {x2.shape[1]}, model expects {model.n_in}")
-    hidden = np.maximum(x2 @ model.w_hidden.T + model.b_hidden, 0.0)
-    out = hidden @ model.w_out.T + model.b_out
+    hidden = x2 @ model.w_hidden.T
+    hidden += model.b_hidden
+    np.maximum(hidden, 0.0, out=hidden)
+    out = hidden @ model.w_out.T
+    out += model.b_out
     return out[0] if single else out
 
 
@@ -134,43 +139,52 @@ def loss_mse(pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean(np.sum((pred - target) ** 2, axis=1)))
 
 
-def backward(model: FnnModel, x: np.ndarray, y: np.ndarray) -> Gradients:
+def backward(model: FnnModel, x: np.ndarray, y: np.ndarray, out=None) -> Gradients:
     """Gradients of :func:`loss_mse` w.r.t. all parameters on one batch.
 
-    ReLU uses the zero subgradient at the kink.
+    ``out``, gradients returned by an earlier call, is overwritten and
+    returned in place of new ones. ReLU's zero subgradient at the kink is
+    an exact ``+0.0`` for any error, inf and nan included; the mask clears
+    bits, which needs no branch per element.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     if x.shape[0] == 0:
         raise ValueError("batch must be nonempty")
-    pre = x @ model.w_hidden.T + model.b_hidden
+    pre = x @ model.w_hidden.T
+    pre += model.b_hidden
     hidden = np.maximum(pre, 0.0)
-    pred = hidden @ model.w_out.T + model.b_out
-    g_out = (2.0 / x.shape[0]) * (pred - y)
+    g_out = hidden @ model.w_out.T
+    g_out += model.b_out
+    g_out -= y
+    g_out *= 2.0 / x.shape[0]
     d_hidden = g_out @ model.w_out
-    d_hidden[pre <= 0.0] = 0.0
-    return Gradients(
-        w_hidden=d_hidden.T @ x,
-        b_hidden=d_hidden.sum(axis=0),
-        w_out=g_out.T @ hidden,
-        b_out=g_out.sum(axis=0),
-    )
+    bits = d_hidden.view(np.int64)  # ReLU mask on the bits: +0.0 where pre <= 0
+    bits &= np.subtract(pre <= 0.0, 1, dtype=np.int64)  # 0 there, all ones elsewhere
+    if out is None:
+        out = Gradients(*model.params())  # the layout; every element is overwritten
+    np.matmul(d_hidden.T, x, out=out.w_hidden)
+    d_hidden.sum(axis=0, out=out.b_hidden)
+    np.matmul(g_out.T, hidden, out=out.w_out)
+    g_out.sum(axis=0, out=out.b_out)
+    return out
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators and the step counter."""
+    """Adam moment vectors ``m``, ``v`` (laid out as ``FnnModel.flat``), step count."""
 
-    m: tuple[np.ndarray, ...]
-    v: tuple[np.ndarray, ...]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
+    scratch: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = np.empty_like(self.m)
 
     @classmethod
     def for_model(cls, model: FnnModel) -> "AdamState":
-        return cls(
-            m=tuple(np.zeros_like(p) for p in model.params()),
-            v=tuple(np.zeros_like(p) for p in model.params()),
-        )
+        return cls(m=np.zeros_like(model.flat), v=np.zeros_like(model.flat))
 
 
 def adam_step(
@@ -186,17 +200,20 @@ def adam_step(
     state.t += 1
     c1 = 1.0 / (1.0 - cfg.beta1**state.t)
     c2 = 1.0 / (1.0 - cfg.beta2**state.t)
-    for p, g, m, v in zip(model.params(), grads.params(), state.m, state.v):
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
-        buf = v * c2
-        np.sqrt(buf, out=buf)
-        buf += cfg.epsilon
-        np.divide(m, buf, out=buf)
-        buf *= cfg.learning_rate * c1
-        p -= buf
+    g, m, v, buf = grads.flat, state.m, state.v, state.scratch
+    m *= cfg.beta1
+    np.multiply(g, 1.0 - cfg.beta1, out=buf)
+    m += buf
+    v *= cfg.beta2
+    np.multiply(g, g, out=buf)
+    buf *= 1.0 - cfg.beta2
+    v += buf
+    np.multiply(v, c2, out=buf)
+    np.sqrt(buf, out=buf)
+    buf += cfg.epsilon
+    np.divide(m, buf, out=buf)
+    buf *= cfg.learning_rate * c1
+    model.flat -= buf
     return model, state
 
 
@@ -210,6 +227,16 @@ class TrainResult:
 
     def __post_init__(self):
         self.epochs = len(self.train_losses)
+
+
+def _eval_loss(model: FnnModel, x: np.ndarray, y: np.ndarray) -> float:
+    """:func:`loss_mse` of :func:`forward`, ``EVAL_ROWS`` rows per call, one mean."""
+    sq_err = np.empty(x.shape[0])
+    for start in range(0, x.shape[0], EVAL_ROWS):
+        err = forward(model, x[start : start + EVAL_ROWS])
+        err -= y[start : start + EVAL_ROWS]
+        np.square(err, out=err).sum(axis=1, out=sq_err[start : start + EVAL_ROWS])
+    return float(np.mean(sq_err))
 
 
 def train(
@@ -239,33 +266,31 @@ def train(
         raise ValueError("a shuffle seed is required for reproducible training")
     rng = np.random.default_rng(seed)
     state = AdamState.for_model(model)
-    batch = cfg.batch_size
+    grads = None  # one gradient buffer, reused by every step
 
     train_losses: list[float] = []
     test_losses: list[float] = []
     best_loss = np.inf
-    best_params = None
+    best_model = None
     best_epoch = 0
 
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n_train)
-        xs = x_train[order]
-        ys = y_train[order]
-        for start in range(0, n_train, batch):
-            xb = xs[start : start + batch]
-            yb = ys[start : start + batch]
-            adam_step(model, state, backward(model, xb, yb), cfg)
+        xs, ys = x_train[order], y_train[order]
+        for start in range(0, n_train, cfg.batch_size):
+            rows = slice(start, start + cfg.batch_size)
+            grads = backward(model, xs[rows], ys[rows], out=grads)
+            adam_step(model, state, grads, cfg)
 
-        train_losses.append(loss_mse(forward(model, x_train), y_train))
-        test_losses.append(loss_mse(forward(model, x_test), y_test))
+        train_losses.append(_eval_loss(model, x_train, y_train))
+        test_losses.append(_eval_loss(model, x_test, y_test))
         if test_losses[-1] < best_loss:
             best_loss = test_losses[-1]
-            best_params = tuple(p.copy() for p in model.params())
+            best_model = model.copy()
             best_epoch = epoch
 
-    best_model = FnnModel(*best_params) if best_params is not None else model.copy()
     return TrainResult(
-        model=best_model,
+        model=best_model if best_model is not None else model.copy(),
         train_losses=train_losses,
         test_losses=test_losses,
         best_epoch=best_epoch,
@@ -294,8 +319,7 @@ def nnc_complexity(
 
 def save_model(model: FnnModel, path, extra_meta: dict | None = None) -> None:
     meta = {"n_in": model.n_in, "n_hidden": model.n_hidden, "n_out": model.n_out}
-    if extra_meta:
-        meta.update(extra_meta)
+    meta.update(extra_meta or {})
     arrays = {f.name: getattr(model, f.name) for f in fields(FnnModel)}
     container.write_container(path, MODEL_KIND, meta, arrays)
 

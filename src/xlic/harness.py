@@ -134,10 +134,7 @@ def _aligned_labels(ds: CliDataset) -> tuple[np.ndarray, int]:
 def interleave_iq(s: np.ndarray) -> np.ndarray:
     """Complex ``(n_rx, n)`` to real ``(n, 2*n_rx)``, I/Q interleaved."""
     s = np.atleast_2d(np.asarray(s, dtype=np.complex128))
-    out = np.empty((s.shape[1], 2 * s.shape[0]))
-    out[:, 0::2] = s.real.T
-    out[:, 1::2] = s.imag.T
-    return out
+    return np.ascontiguousarray(s.T).view(np.float64)
 
 
 def deinterleave_iq(y: np.ndarray) -> np.ndarray:
@@ -191,25 +188,25 @@ def _score(
     )
 
 
-def _linear_fit(ds: CliDataset, spec: BasisSpec, ridge: float = 0.0, all_rows=False):
+def _linear_fit(ds: CliDataset, spec: BasisSpec, all_rows=False):
     """LS-fit ``spec`` on the training rows; estimate the test rows, or all rows."""
     labels, split_row = _aligned_labels(ds)
     basis = build_basis_matrix(ds.tx, spec)
-    coeffs = ls_fit(basis[:split_row], labels[:, :split_row], spec, ridge=ridge)
+    coeffs = ls_fit(basis[:split_row], labels[:, :split_row], spec)
     return coeffs, apply_basis(coeffs, basis if all_rows else basis[split_row:])
 
 
-def run_tc(ds: CliDataset, ridge: float = 0.0) -> CancellerResult:
+def run_tc(ds: CliDataset) -> CancellerResult:
     """Fit and score the linear (CSI-style) canceller."""
     spec = BasisSpec.linear(ds.n_tx, ds.window_depth)
-    coeffs, s_hat = _linear_fit(ds, spec, ridge=ridge)
+    coeffs, s_hat = _linear_fit(ds, spec)
     return _score("tc", ds, None, s_hat, artifacts={"coefficients": coeffs})
 
 
-def run_pc(ds: CliDataset, order: int = 3, ridge: float = 0.0) -> CancellerResult:
+def run_pc(ds: CliDataset, order: int = 3) -> CancellerResult:
     """Fit and score the polynomial canceller of the given odd order."""
     spec = BasisSpec(n_tx=ds.n_tx, depth=ds.window_depth, order=order)
-    coeffs, s_hat = _linear_fit(ds, spec, ridge=ridge)
+    coeffs, s_hat = _linear_fit(ds, spec)
     return _score("pc", ds, order, s_hat, artifacts={"coefficients": coeffs})
 
 

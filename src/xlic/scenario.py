@@ -23,6 +23,7 @@ from . import container
 from .channel import draw_channel, propagate, add_awgn, quantize_adc, calibrate_channel_gain
 from .channel import MultipathChannel
 from .config import ScenarioSettings, derive_rng
+from .polynomial import BasisSpec, build_basis_matrix
 from .rf_chain import transmit_chain
 from .waveform import generate_ofdm
 
@@ -177,7 +178,8 @@ def build_regressors(tx: np.ndarray, depth: int) -> np.ndarray:
         [Re(d_a[n]), Im(d_a[n]), Re(d_a[n-1]), Im(d_a[n-1]), ...,
          Re(d_a[n-depth+1]), Im(d_a[n-depth+1])]   for a = 0 .. n_tx-1
 
-    Returns shape ``(n - depth + 1, 2 * n_tx * depth)`` float64.
+    Returns shape ``(n - depth + 1, 2 * n_tx * depth)`` float64: the
+    linear polynomial basis of the same depth, read as interleaved reals.
     """
     tx = np.atleast_2d(np.asarray(tx, dtype=np.complex128))
     n_tx, n = tx.shape
@@ -185,29 +187,7 @@ def build_regressors(tx: np.ndarray, depth: int) -> np.ndarray:
         raise ValueError(f"depth must be >= 1, got {depth}")
     if depth > n:
         raise ValueError(f"depth {depth} exceeds stream length {n}")
-    n_windows = n - depth + 1
-    out = np.empty((n_windows, 2 * n_tx * depth))
-    for a in range(n_tx):
-        for m in range(depth):
-            seg = tx[a, depth - 1 - m : n - m]
-            base = 2 * (a * depth + m)
-            out[:, base] = seg.real
-            out[:, base + 1] = seg.imag
-    return out
-
-
-def normalize(x: np.ndarray, scale: float) -> np.ndarray:
-    """Divide by a positive max-abs constant (no clipping)."""
-    if not (scale > 0):
-        raise ValueError(f"normalization constant must be > 0, got {scale}")
-    return np.asarray(x) / scale
-
-
-def denormalize(y: np.ndarray, scale: float) -> np.ndarray:
-    """Inverse of :func:`normalize`."""
-    if not (scale > 0):
-        raise ValueError(f"normalization constant must be > 0, got {scale}")
-    return np.asarray(y) * scale
+    return build_basis_matrix(tx, BasisSpec.linear(n_tx, depth)).view(np.float64)
 
 
 def save_dataset(ds: CliDataset, path) -> None:

@@ -57,6 +57,30 @@ class TestInitialize:
         assert_array_equal(residual.w_hidden, plain.w_hidden)
 
 
+class TestFlatParameters:
+    def test_constructor_copies_and_copy_is_independent(self, rng):
+        arrays = tiny_model(rng).params()
+        saved = [a.copy() for a in arrays]
+        model = FnnModel(*arrays)
+        for a in arrays:
+            a[...] = 0.0
+        for p, s in zip(model.params(), saved):
+            assert_array_equal(p, s)
+        twin = model.copy()
+        twin.flat[:] = 0.0
+        for p, s in zip(model.params(), saved):
+            assert_array_equal(p, s)
+        assert not np.shares_memory(twin.flat, model.flat)
+
+    def test_fields_are_views_into_flat(self, rng):
+        model = tiny_model(rng)
+        assert model.flat.size == model.param_count
+        assert_array_equal(model.flat, np.concatenate([p.ravel() for p in model.params()]))
+        model.flat[:] = 7.0
+        for p in model.params():
+            assert_array_equal(p, 7.0)
+
+
 class TestForward:
     def test_all_zero_weights_return_bias(self):
         model = FnnModel(np.zeros((3, 2)), np.zeros(3), np.zeros((2, 3)), np.array([1.5, -0.5]))
@@ -141,6 +165,31 @@ class TestBackward:
         with pytest.raises(ValueError, match="nonempty"):
             backward(tiny_model(rng), np.zeros((0, 4)), np.zeros((0, 2)))
 
+    def test_out_is_overwritten_and_returned(self, rng):
+        model = tiny_model(rng)
+        x = rng.standard_normal((5, 4))
+        y = rng.standard_normal((5, 2))
+        out = backward(model, x[:2], y[:2])
+        assert backward(model, x, y, out=out) is out
+        assert_array_equal(out.flat, backward(model, x, y).flat)
+
+    def test_zero_preactivation_gives_exact_zero_gradient(self, rng):
+        # unit 0 has pre == 0 on every row, and the error back-propagated
+        # into it overflows to inf; its gradient must still be exactly
+        # +0.0 (a mask applied as a product would give inf * 0 = nan)
+        model = FnnModel(
+            np.vstack([np.zeros(4), rng.standard_normal((2, 4))]),
+            np.array([0.0, 0.5, -0.5]),
+            np.array([[1e10, 1.0, 1.0]]),
+            np.zeros(1),
+        )
+        x = rng.standard_normal((6, 4))
+        with np.errstate(over="ignore"):
+            grads = backward(model, x, np.full((6, 1), -1e300))
+        for g in (grads.w_hidden[0], grads.b_hidden[:1]):
+            assert_array_equal(g, 0.0)
+            assert not np.signbit(g).any()
+
 
 class TestAdam:
     def test_first_step_is_signed_learning_rate(self):
@@ -158,6 +207,22 @@ class TestAdam:
         adam_step(model, state, grads, cfg)
         assert model.w_hidden[0, 0] == pytest.approx(0.5 - 1e-3, rel=1e-6)
         assert model.b_hidden[0] == pytest.approx(0.25 + 1e-3, rel=1e-6)
+
+    def test_hand_built_gradients_step_like_backward(self, rng):
+        x = rng.standard_normal((5, 4))
+        y = rng.standard_normal((5, 2))
+        cfg = TrainSettings(learning_rate=1e-2)
+        a = tiny_model(rng)
+        b = a.copy()
+        before = a.flat.copy()
+        grads = backward(a, x, y)
+        hand = Gradients(*(g.copy() for g in grads.params()))
+        state_a, state_b = AdamState.for_model(a), AdamState.for_model(b)
+        for _ in range(3):
+            adam_step(a, state_a, grads, cfg)
+            adam_step(b, state_b, hand, cfg)
+        assert_array_equal(a.flat, b.flat)
+        assert not np.array_equal(a.flat, before)
 
     def test_zero_gradient_keeps_parameters_and_advances_time(self, rng):
         model = tiny_model(rng)
@@ -271,6 +336,37 @@ class TestTrain:
         assert fit.train_losses == losses
         for a, b in zip(trained.params(), model.params()):
             assert_array_equal(a, b)
+
+    def test_chunked_losses_equal_whole_batch_loss(self, rng):
+        # 2,100 training rows end in a 52-row chunk, 4,101 test rows in a
+        # 5-row one; with one epoch the final weights are the scored ones.
+        # At this width each chunk's rows equal the whole-batch product's.
+        # At 300 hidden units a few rows of a chunk differ from it in the
+        # last bit (OpenBLAS picks kernels by matrix size), so there the
+        # losses' equality is measured rather than built in.
+        x = rng.standard_normal((2100, 4))
+        y = rng.standard_normal((2100, 2))
+        x_test = rng.standard_normal((4101, 4))
+        y_test = rng.standard_normal((4101, 2))
+        model = FnnModel.initialize(4, 8, 2, seed=3)
+        cfg = TrainSettings(epochs=1, batch_size=64, learning_rate=1e-2)
+        fit = train(model, x, y, x_test, y_test, cfg, shuffle_seed=4)
+        assert fit.train_losses == [loss_mse(forward(model, x), y)]
+        assert fit.test_losses == [loss_mse(forward(model, x_test), y_test)]
+
+    def test_caller_model_trained_in_place(self, rng):
+        x = rng.standard_normal((40, 4))
+        y = rng.standard_normal((40, 2))
+        model = FnnModel.initialize(4, 5, 2, seed=7)
+        initial = model.copy()
+        views = model.params()
+        cfg = TrainSettings(epochs=2, batch_size=8, learning_rate=1e-2)
+        fit = train(model, x, y, x, y, cfg, shuffle_seed=8)
+        assert fit.train_losses[-1] == loss_mse(forward(model, x), y)
+        for view, p, p0 in zip(views, model.params(), initial.params()):
+            assert view is p
+            assert not np.array_equal(p, p0)
+        assert not np.shares_memory(fit.model.flat, model.flat)
 
 
 class TestCounts:

@@ -2,19 +2,16 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import ideal_rf, small_scenario
 from xlic import (
+    CliDataset,
     MultipathChannel,
     ScenarioSettings,
     build_regressors,
-    denormalize,
     generate_dataset,
     load_dataset,
-    normalize,
     save_dataset,
 )
 from xlic.container import ContainerChecksumError
@@ -129,28 +126,19 @@ class TestRegressors:
 
 
 class TestNormalize:
-    @given(st.floats(0.1, 100.0))
-    def test_round_trip(self, scale):
-        x = np.array([1.5 - 2.5j, 0.25j])
-        assert_allclose(denormalize(normalize(x, scale), scale), x, rtol=1e-15)
-
-    def test_example(self):
-        assert normalize(np.array([4 + 2j]), 2.0)[0] == 2 + 1j
-
     def test_training_max_normalizes_to_one(self):
         ds = generate_dataset(small_scenario(), seed=2)
-        assert np.abs(normalize(ds.tx[:, : ds.split_index], ds.input_scale)).max() == 1.0
-
-    def test_test_partition_may_exceed_one_without_clipping(self, rng):
-        x = np.array([3.0 + 4.0j])  # |x| = 5
-        y = normalize(x, 2.0)
-        assert abs(y[0]) == 2.5  # scaled, never clipped
+        assert (np.abs(ds.tx[:, : ds.split_index]) / ds.input_scale).max() == 1.0
 
     def test_nonpositive_scale_rejected(self):
-        with pytest.raises(ValueError):
-            normalize(np.ones(2), 0.0)
-        with pytest.raises(ValueError):
-            denormalize(np.ones(2), -1.0)
+        ds = generate_dataset(small_scenario(), seed=2)
+        fields = dict(
+            tx=ds.tx, rx=ds.rx, split_index=ds.split_index, window_depth=ds.window_depth
+        )
+        with pytest.raises(ValueError, match="must be > 0"):
+            CliDataset(input_scale=0.0, label_scale=ds.label_scale, **fields)
+        with pytest.raises(ValueError, match="must be > 0"):
+            CliDataset(input_scale=ds.input_scale, label_scale=-1.0, **fields)
 
 
 class TestPersistence:
