@@ -26,9 +26,9 @@ import sys
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
-from .container import ContainerError
+from .container import ContainerError, write_atomic
 from .fnn import save_model
-from .harness import CANCELLERS, CancellerResult, run_canceller, sweep
+from .harness import CANCELLERS, SWEEP_AXES, CancellerResult, run_canceller, sweep
 from .polynomial import save_coefficients
 from .scenario import generate_dataset, load_dataset, save_dataset
 
@@ -82,28 +82,12 @@ def _result_row(res: CancellerResult) -> dict:
     }
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    # A name of its own per write, so concurrent writers never share a file.
-    name = f".tmp-{os.urandom(8).hex()}-{os.path.basename(path)}"
-    tmp = os.path.join(directory, name)
-    try:
-        with open(tmp, "x", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
 def _write_csv(path: str, fields: list[str], rows: list[dict]) -> None:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
-    _atomic_write_text(path, buf.getvalue())
+    write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
 def _append_csv(path: str, fields: list[str], rows: list[dict]) -> None:
@@ -253,8 +237,6 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_run_config(args.config, args.seed)
-    if args.axis not in ("P", "nh"):
-        raise CliError(f"usage: unknown axis '{args.axis}' (expected 'P' or 'nh')")
     try:
         values = [int(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
@@ -324,8 +306,15 @@ def cmd_report(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are one ``error: usage:`` line."""
+
+    def error(self, message):
+        self.exit(2, f"error: usage: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="xlic",
         description="Cross-link interference cancellation workbench",
     )
@@ -353,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--config", required=True)
     sw.add_argument("--seed", type=int, default=None)
     sw.add_argument("--dataset", required=True)
-    sw.add_argument("--axis", required=True, help="'P' or 'nh'")
+    sw.add_argument("--axis", required=True, choices=SWEEP_AXES, help="'P' or 'nh'")
     sw.add_argument("--values", required=True, help="comma-separated axis values")
     sw.add_argument("--out", default=None)
     sw.add_argument("--force", action="store_true")
@@ -383,7 +372,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ContainerError, ValueError) as exc:
+    except (ConfigError, ContainerError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import os
 import struct
-import tempfile
 import zlib
 
 import numpy as np
@@ -80,6 +79,26 @@ class _Reader:
         return self.take(n).decode("utf-8")
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temp file beside ``path``, then rename it to ``path``.
+
+    The temp name is random per write, so concurrent writers never share
+    a file; it is removed if the write fails. The mode follows the umask.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    name = f".xlic-tmp-{os.urandom(8).hex()}-{os.path.basename(path)}"
+    tmp = os.path.join(directory, name)
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_container(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     """Write ``arrays`` plus JSON ``meta`` atomically to ``path``."""
     chunks = [MAGIC, struct.pack("<I", FORMAT_VERSION), _pack_str(kind)]
@@ -104,20 +123,7 @@ def write_container(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) 
         chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
         chunks.append(arr.tobytes())
     body = b"".join(chunks)
-    payload = body + struct.pack("<I", zlib.crc32(body))
-
-    # Atomic write: temp file in the target directory, then rename.
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".xlic-tmp-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, body + struct.pack("<I", zlib.crc32(body)))
 
 
 def read_container(path, expected_kind: str | None = None):

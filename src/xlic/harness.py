@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import measure_power_dbm
-from .config import TrainSettings, derive_rng
+from .config import CancellerSettings, TrainSettings, derive_rng
 from .fnn import FnnModel, forward, nnc_complexity, nnc_param_count, train
 from .polynomial import (
     BasisSpec,
@@ -73,18 +73,14 @@ def residual_power_dbm(s: np.ndarray, s_hat: np.ndarray) -> float:
 
 def hc_param_count(n_rx: int, n_tx: int, memory: int, n_paths: int, n_hidden: int) -> int:
     """Real parameters of the hybrid canceller (FIR stage plus network)."""
-    return 2 * n_rx * n_tx * (memory + n_paths) + nnc_param_count(
-        n_rx, n_tx, memory, n_paths, n_hidden
-    )
+    shape = (n_rx, n_tx, memory, n_paths)
+    return tc_param_count(*shape) + nnc_param_count(*shape, n_hidden)
 
 
 def hc_complexity(n_rx: int, n_tx: int, memory: int, n_paths: int, n_hidden: int) -> int:
     """Real operations for one hybrid-canceller reconstruction."""
-    return (
-        8 * n_rx * n_tx * (memory + n_paths)
-        - 2 * n_rx
-        + nnc_complexity(n_rx, n_tx, memory, n_paths, n_hidden)
-    )
+    shape = (n_rx, n_tx, memory, n_paths)
+    return tc_complexity(*shape) + nnc_complexity(*shape, n_hidden)
 
 
 # Real-parameter and real-operation counts per canceller, called as
@@ -188,25 +184,24 @@ def _score(
     )
 
 
-def _linear_fit(ds: CliDataset, spec: BasisSpec, all_rows=False):
-    """LS-fit ``spec`` on the training rows; estimate the test rows, or all rows."""
+def _linear_fit(ds: CliDataset, spec: BasisSpec, basis: np.ndarray):
+    """LS-fit ``spec``'s ``basis`` on the training rows; estimate the test rows."""
     labels, split_row = _aligned_labels(ds)
-    basis = build_basis_matrix(ds.tx, spec)
     coeffs = ls_fit(basis[:split_row], labels[:, :split_row], spec)
-    return coeffs, apply_basis(coeffs, basis if all_rows else basis[split_row:])
+    return coeffs, apply_basis(coeffs, basis[split_row:])
 
 
 def run_tc(ds: CliDataset) -> CancellerResult:
     """Fit and score the linear (CSI-style) canceller."""
     spec = BasisSpec.linear(ds.n_tx, ds.window_depth)
-    coeffs, s_hat = _linear_fit(ds, spec)
+    coeffs, s_hat = _linear_fit(ds, spec, build_basis_matrix(ds.tx, spec))
     return _score("tc", ds, None, s_hat, artifacts={"coefficients": coeffs})
 
 
 def run_pc(ds: CliDataset, order: int = 3) -> CancellerResult:
     """Fit and score the polynomial canceller of the given odd order."""
     spec = BasisSpec(n_tx=ds.n_tx, depth=ds.window_depth, order=order)
-    coeffs, s_hat = _linear_fit(ds, spec)
+    coeffs, s_hat = _linear_fit(ds, spec, build_basis_matrix(ds.tx, spec))
     return _score("pc", ds, order, s_hat, artifacts={"coefficients": coeffs})
 
 
@@ -222,21 +217,21 @@ def _fit_network(
     canceller: str,
     n_hidden: int,
     cfg: TrainSettings,
+    x: np.ndarray,
     target: np.ndarray,
     scale: float,
     base: np.ndarray | float,
     artifacts: dict,
 ) -> CancellerResult:
-    """Train a network on ``target / scale`` and score ``base`` plus its output.
+    """Train a network from ``x`` to ``target / scale``; score ``base`` plus its output.
 
-    ``target`` is aligned with the labels. ``base`` is the estimate over
-    the test rows that the network's output adds to: 0 for nnc, the
-    stage-1 estimate for hc, whose network starts from ``residual=True``.
-    The per-epoch C_dB history follows from the test losses, which are
-    mean squared errors in units of ``scale``.
+    ``x`` (scaled regressor windows) and ``target`` are aligned with the
+    labels. ``base`` is the estimate over the test rows that the network's
+    output adds to: 0 for nnc, the stage-1 estimate for hc, whose network
+    starts from ``residual=True``. The per-epoch C_dB history follows from
+    the test losses, which are mean squared errors in units of ``scale``.
     """
     labels, split_row = _aligned_labels(ds)
-    x = build_regressors(ds.tx, ds.window_depth) / ds.input_scale
     y = interleave_iq(target) / scale
     model = FnnModel.initialize(
         x.shape[1],
@@ -282,6 +277,7 @@ def run_nnc(ds: CliDataset, n_hidden: int, cfg: TrainSettings) -> CancellerResul
         "nnc",
         n_hidden,
         cfg,
+        build_regressors(ds.tx, ds.window_depth) / ds.input_scale,
         labels,
         ds.label_scale,
         0.0,
@@ -310,17 +306,22 @@ def run_hc(ds: CliDataset, n_hidden: int, cfg: TrainSettings) -> CancellerResult
     """
     labels, split_row = _aligned_labels(ds)
     spec = BasisSpec.linear(ds.n_tx, ds.window_depth)
-    coeffs, s_lin = _linear_fit(ds, spec, all_rows=True)
-    residual = labels - s_lin
+    basis = build_basis_matrix(ds.tx, spec)
+    coeffs, s_test = _linear_fit(ds, spec, basis)
+    residual = labels - np.hstack([apply_basis(coeffs, basis[:split_row]), s_test])
     residual_scale = float(np.abs(residual[:, :split_row]).max())
+    # Stage 1 is done with the basis; stage 2 reads it as real windows, scaled in place.
+    x = basis.view(np.float64)
+    x /= ds.input_scale
     return _fit_network(
         ds,
         "hc",
         n_hidden,
         cfg,
+        x,
         residual,
         residual_scale,
-        s_lin[:, split_row:],
+        s_test,
         {"stage1": coeffs, "residual_scale": residual_scale},
     )
 
@@ -346,6 +347,8 @@ def run_canceller(
 
 # Sweep axis -> the run_canceller argument it sets and the cancellers it covers.
 SWEEP_AXES = {"P": ("order", ("pc",)), "nh": ("n_hidden", ("nnc", "hc"))}
+# The CancellerSettings field whose checks bound each canceller's swept value.
+SETTING_FIELDS = {"pc": "order", "nnc": "nnc_hidden", "hc": "hc_hidden"}
 
 
 def sweep(
@@ -360,11 +363,15 @@ def sweep(
     ``axis="P"`` sweeps the polynomial canceller order (odd values);
     ``axis="nh"`` sweeps the hidden width of both network-based
     cancellers. With ``with_performance=False`` only the counting columns
-    are filled (no fitting or training).
+    are filled (no fitting or training). A value the config would reject
+    raises ``ConfigError`` before any row is made.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis '{axis}' (expected 'P' or 'nh')")
     arg, cancellers = SWEEP_AXES[axis]
+    values = list(values)
+    for value in values:
+        CancellerSettings(**{SETTING_FIELDS[c]: value for c in cancellers})
     rows: list[CancellerResult] = []
     for value in values:
         for canceller in cancellers:

@@ -181,12 +181,7 @@ def build_regressors(tx: np.ndarray, depth: int) -> np.ndarray:
     Returns shape ``(n - depth + 1, 2 * n_tx * depth)`` float64: the
     linear polynomial basis of the same depth, read as interleaved reals.
     """
-    tx = np.atleast_2d(np.asarray(tx, dtype=np.complex128))
-    n_tx, n = tx.shape
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    if depth > n:
-        raise ValueError(f"depth {depth} exceeds stream length {n}")
+    n_tx = np.atleast_2d(tx).shape[0]
     return build_basis_matrix(tx, BasisSpec.linear(n_tx, depth)).view(np.float64)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -255,6 +256,16 @@ class TestSweep:
         assert run_cli("sweep", "--config", cfg, "--dataset", ds, "--axis", "P",
                        "--values", "1,a", "--out", str(tmp / "s.csv")) != 0
 
+    def test_invalid_value_rejected_without_output(self, pipeline, capsys):
+        cfg, ds, tmp = pipeline
+        out = tmp / "s.csv"
+        assert run_cli("sweep", "--config", cfg, "--dataset", ds, "--axis", "nh",
+                       "--values=0,-5", "--out", str(out), "--no-train") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: canceller.nnc_hidden")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestReport:
     def test_full_quartet_summary_sorted(self, pipeline, capsys):
@@ -304,6 +315,62 @@ class TestDeterminism:
             a = (tmp_path / "run1" / name).read_bytes()
             b = (tmp_path / "run2" / name).read_bytes()
             assert a == b, f"{name} differs between identical pipelines"
+
+
+class TestFileModes:
+    def test_dataset_and_csv_modes_follow_umask(self, tmp_path):
+        cfg = small_config(tmp_path)
+        ds = tmp_path / "ds.bin"
+        results = tmp_path / "results.csv"
+        old = os.umask(0o022)
+        try:
+            assert run_cli("generate", "--config", cfg, "--out", str(ds)) == 0
+            assert run_cli("run", "--config", cfg, "--dataset", str(ds),
+                           "--canceller", "tc", "--out", str(results)) == 0
+        finally:
+            os.umask(old)
+        for path in (ds, results, tmp_path / "tc_coeffs.bin"):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o644, path.name
+
+
+class TestErrorLines:
+    """Every failure is a single ``error:`` line on stderr with exit status 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--dataset", "x"],
+            ["bogus"],
+            ["run", "--config", "c.json", "--dataset", "d.bin", "--canceller", "tc",
+             "--seed", "abc"],
+        ],
+    )
+    def test_argparse_error_is_one_usage_line(self, capsys, argv):
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage: ")
+        assert err.count("\n") == 1
+
+    def test_help_exits_zero(self, capsys):
+        assert run_cli("run", "--help") == 0
+        assert "--canceller" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["generate", "run", "report"])
+    def test_directory_input_is_one_error_line(self, pipeline, capsys, command):
+        cfg, ds, tmp = pipeline
+        directory = tmp / "a_directory"
+        directory.mkdir()
+        argv = {
+            "generate": ["generate", "--config", str(directory), "--out", str(tmp / "x.bin")],
+            "run": ["run", "--config", cfg, "--dataset", str(directory), "--canceller", "tc",
+                    "--out", str(tmp / "r.csv")],
+            "report": ["report", "--results", str(directory), "--out-dir", str(tmp / "rpt")],
+        }[command]
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: IsADirectoryError: ")
+        assert err.count("\n") == 1
 
 
 class TestEntryPoint:

@@ -14,6 +14,7 @@ from xlic.container import (
     ContainerTruncatedError,
     ContainerVersionError,
     read_container,
+    write_atomic,
     write_container,
 )
 
@@ -89,3 +90,12 @@ def test_wrong_kind_rejected(sample_file):
 def test_rejects_unsupported_dtype(tmp_path):
     with pytest.raises(ContainerError, match="dtype"):
         write_container(tmp_path / "x.bin", "dataset", {}, {"a": np.ones(3, dtype=np.float32)})
+
+
+def test_failed_atomic_write_keeps_target_and_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"old")
+    with pytest.raises(TypeError):
+        write_atomic(path, "not bytes")
+    assert path.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]

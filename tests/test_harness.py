@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import ideal_rf, small_scenario
+from xlic import harness
 from xlic import (
     BasisSpec,
     TrainSettings,
@@ -27,6 +28,7 @@ from xlic import (
     run_tc,
     sweep,
 )
+from xlic.config import ConfigError
 from xlic.harness import _aligned_labels, deinterleave_iq, interleave_iq
 from xlic.polynomial import apply_basis
 
@@ -162,6 +164,19 @@ class TestRunners:
         hc = run_hc(small_ds, 8, frozen)
         assert hc.c_db == pytest.approx(run_tc(small_ds).c_db, rel=1e-9)
 
+    def test_hc_builds_the_delay_line_once(self, small_ds, monkeypatch):
+        # stage 2 trains on stage 1's linear basis, read as real windows
+        calls = []
+        for name in ("build_basis_matrix", "build_regressors"):
+
+            def counted(*args, _original=getattr(harness, name), _name=name):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(harness, name, counted)
+        run_hc(small_ds, 8, TrainSettings(epochs=1, learning_rate=1e-3))
+        assert calls == ["build_basis_matrix"]
+
     def test_unknown_canceller_rejected(self, small_ds):
         with pytest.raises(ValueError, match="unknown canceller"):
             run_canceller(small_ds, "zzz")
@@ -233,6 +248,24 @@ class TestSweep:
     def test_order_axis_with_performance(self, small_ds):
         rows = sweep(small_ds, "P", [1, 3], with_performance=True)
         assert all(np.isfinite(r.c_db) for r in rows)
+
+    @pytest.mark.parametrize(
+        "axis, values, with_performance",
+        [
+            ("nh", [0, -5], False),
+            ("P", [-1], False),
+            ("P", [1, 4], True),
+            ("nh", [8, 0], True),
+        ],
+    )
+    def test_invalid_value_rejected_before_any_row(
+        self, small_ds, monkeypatch, axis, values, with_performance
+    ):
+        runs = []
+        monkeypatch.setattr(harness, "run_canceller", lambda *args, **kw: runs.append(kw))
+        with pytest.raises(ConfigError):
+            sweep(small_ds, axis, values, with_performance=with_performance)
+        assert runs == []
 
     def test_unknown_axis_rejected(self, small_ds):
         with pytest.raises(ValueError, match="axis"):

@@ -124,6 +124,11 @@ class TestRegressors:
         with pytest.raises(ValueError, match="depth"):
             build_regressors(tx, depth=5)
 
+    def test_nonpositive_depth_rejected(self, rng):
+        tx = rng.standard_normal((1, 4)).astype(complex)
+        with pytest.raises(ValueError, match="depth"):
+            build_regressors(tx, depth=0)
+
 
 class TestNormalize:
     def test_training_max_normalizes_to_one(self):
