@@ -17,29 +17,22 @@ import numpy as np
 
 @dataclass(frozen=True)
 class PathLossModel:
-    """Deterministic large-scale scaling ``distance**(-exponent/2)`` per tap.
+    """Deterministic large-scale scaling ``distance**(-exponent/2)`` of every tap.
 
-    ``distance`` may be a scalar (shared by all paths) or a length-L
-    sequence of per-path distances in meters.
+    ``distance`` is in meters and shared by all paths.
     """
 
-    distance: float | tuple[float, ...] = 1.0
+    distance: float = 1.0
     exponent: float = 0.0
 
     def __post_init__(self):
-        dist = np.atleast_1d(np.asarray(self.distance, dtype=float))
-        if np.any(dist <= 0):
-            raise ValueError("path distances must be > 0")
+        if self.distance <= 0:
+            raise ValueError("path distance must be > 0")
         if self.exponent < 0:
             raise ValueError("path-loss exponent must be >= 0")
 
     def amplitude_scale(self, n_paths: int) -> np.ndarray:
-        dist = np.atleast_1d(np.asarray(self.distance, dtype=float))
-        if dist.size == 1:
-            dist = np.full(n_paths, dist[0])
-        elif dist.size != n_paths:
-            raise ValueError(f"{dist.size} distances for {n_paths} paths")
-        return dist ** (-self.exponent / 2.0)
+        return np.full(n_paths, float(self.distance)) ** (-self.exponent / 2.0)
 
 
 @dataclass(frozen=True)

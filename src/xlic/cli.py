@@ -139,6 +139,13 @@ def _load_run_config(path: str, seed_override: int | None) -> RunConfig:
     return cfg
 
 
+def _load_dataset(path: str):
+    try:
+        return load_dataset(path)
+    except (ContainerError, FileNotFoundError) as exc:
+        raise CliError(f"dataset: {exc}") from exc
+
+
 def cmd_generate(args) -> int:
     cfg = _load_run_config(args.config, args.seed)
     out = _out_path(args.out, "dataset.bin")
@@ -189,18 +196,13 @@ def _save_artifacts(res: CancellerResult, models_dir: str) -> None:
             os.path.join(models_dir, f"{res.canceller}_model.bin"),
             extra_meta={**scales, "canceller": res.canceller},
         )
-    if "stage1" in res.artifacts:
-        save_coefficients(
-            res.artifacts["stage1"],
-            os.path.join(models_dir, f"{res.canceller}_stage1_coeffs.bin"),
-            extra_meta={"canceller": res.canceller},
-        )
-    if "coefficients" in res.artifacts:
-        save_coefficients(
-            res.artifacts["coefficients"],
-            os.path.join(models_dir, f"{res.canceller}_coeffs.bin"),
-            extra_meta={"canceller": res.canceller},
-        )
+    for key, suffix in (("stage1", "_stage1_coeffs.bin"), ("coefficients", "_coeffs.bin")):
+        if key in res.artifacts:
+            save_coefficients(
+                res.artifacts[key],
+                os.path.join(models_dir, f"{res.canceller}{suffix}"),
+                extra_meta={"canceller": res.canceller},
+            )
 
 
 def cmd_run(args) -> int:
@@ -210,10 +212,7 @@ def cmd_run(args) -> int:
             f"usage: unknown canceller '{args.canceller}' "
             f"(expected one of {', '.join(CANCELLERS)})"
         )
-    try:
-        ds = load_dataset(args.dataset)
-    except (ContainerError, FileNotFoundError) as exc:
-        raise CliError(f"dataset: {exc}") from exc
+    ds = _load_dataset(args.dataset)
     n_hidden = cfg.canceller.nnc_hidden if args.canceller == "nnc" else cfg.canceller.hc_hidden
     res = run_canceller(
         ds,
@@ -243,10 +242,7 @@ def cmd_sweep(args) -> int:
         raise CliError(f"usage: --values must be comma-separated integers: {exc}")
     out = _out_path(args.out, "sweep.csv")
     _check_overwrite(out, args.force)
-    try:
-        ds = load_dataset(args.dataset)
-    except (ContainerError, FileNotFoundError) as exc:
-        raise CliError(f"dataset: {exc}") from exc
+    ds = _load_dataset(args.dataset)
     rows = sweep(
         ds,
         args.axis,
@@ -375,7 +371,3 @@ def main(argv=None) -> int:
     except (ConfigError, ContainerError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -35,6 +35,8 @@ DEFAULT_PA_TAPS = [
     [[1.0, 0.0], [0.05, 0.0], [0.01, 0.0]],
     [[-0.06, -0.015], [-0.0075, 0.0], [-0.00375, 0.0]],
 ]
+# Complex PA taps as [re, im] pairs: taps[branch][lag].
+Taps = list
 
 
 class ConfigError(ValueError):
@@ -78,8 +80,7 @@ class IqSettings:
 class PaSettings:
     order: int = 3
     memory: int = 2
-    # complex taps as [re, im] pairs: taps[branch][lag]
-    taps: list = field(default_factory=lambda: [list(b) for b in DEFAULT_PA_TAPS])
+    taps: Taps = field(default_factory=lambda: [list(b) for b in DEFAULT_PA_TAPS])
 
     def build(self) -> PaModel:
         taps = np.array(
@@ -88,17 +89,8 @@ class PaSettings:
         return PaModel(order=self.order, memory=self.memory, taps=taps)
 
 
-@dataclass
-class OfdmSettings:
-    fft_size: int = 1024
-    occupied_subcarriers: int = 111
-    cp_len: int = 72
-    qam_order: int = 16
-    sample_rate_hz: float = 120e6
-    bandwidth_hz: float = 13e6
-
-    def build(self) -> OfdmConfig:
-        return OfdmConfig(**dataclasses.asdict(self))
+# The scenario's OFDM section is the generator's own config, checked at load.
+OfdmSettings = OfdmConfig
 
 
 @dataclass
@@ -130,7 +122,7 @@ class ScenarioSettings:
     # Single entry shared by all antennas, or one entry per tx antenna.
     iq: IqSettings | list = field(default_factory=IqSettings)
     pa: PaSettings | list = field(default_factory=PaSettings)
-    ofdm: OfdmSettings = field(default_factory=OfdmSettings)
+    ofdm: OfdmConfig = field(default_factory=OfdmConfig)
 
     def __post_init__(self):
         for name in ("n_rx", "n_tx", "n_paths", "n_samples"):
@@ -141,21 +133,21 @@ class ScenarioSettings:
         if self.adc_headroom < 1.0:
             raise ConfigError("scenario.adc_headroom: must be >= 1")
 
-    def iq_models(self) -> list[IqImbalance]:
-        items = self.iq if isinstance(self.iq, list) else [self.iq] * self.n_tx
+    def _per_antenna(self, name: str) -> list:
+        """The built ``iq`` or ``pa`` model of each tx antenna; one entry is shared."""
+        items = getattr(self, name)
+        items = items if isinstance(items, list) else [items] * self.n_tx
         if len(items) != self.n_tx:
             raise ConfigError(
-                f"scenario.iq: expected 1 or {self.n_tx} entries, got {len(items)}"
+                f"scenario.{name}: expected 1 or {self.n_tx} entries, got {len(items)}"
             )
         return [item.build() for item in items]
 
+    def iq_models(self) -> list[IqImbalance]:
+        return self._per_antenna("iq")
+
     def pa_models(self) -> list[PaModel]:
-        items = self.pa if isinstance(self.pa, list) else [self.pa] * self.n_tx
-        if len(items) != self.n_tx:
-            raise ConfigError(
-                f"scenario.pa: expected 1 or {self.n_tx} entries, got {len(items)}"
-            )
-        models = [item.build() for item in items]
+        models = self._per_antenna("pa")
         if self.pa_taps_at_unit_power:
             drive_rms = np.sqrt(10.0 ** ((self.tx_power_dbm - 30.0) / 10.0))
             models = [_rescale_pa(m, drive_rms) for m in models]
@@ -171,14 +163,9 @@ class ScenarioSettings:
         return AdcConfig(bits=self.adc_bits, full_scale=full_scale)
 
     @property
-    def max_pa_memory(self) -> int:
-        items = self.pa if isinstance(self.pa, list) else [self.pa]
-        return max(item.memory for item in items)
-
-    @property
     def window_depth(self) -> int:
-        """Regressor depth: PA memory plus multipath count."""
-        return self.max_pa_memory + self.n_paths
+        """Regressor depth: the largest PA memory plus the multipath count."""
+        return max(pa.memory for pa in self._per_antenna("pa")) + self.n_paths
 
 
 @dataclass
@@ -245,8 +232,10 @@ class RunConfig:
             raise ConfigError(
                 f"schema_version: {version} not supported (expected {SCHEMA_VERSION})"
             )
+        seed = data.pop("seed", 1)
+        _check_type(seed, "int", "seed")
         return cls(
-            seed=_expect_int(data, "seed", default=1),
+            seed=seed,
             scenario=_build(ScenarioSettings, data.pop("scenario", {}), "scenario"),
             canceller=_build(CancellerSettings, data.pop("canceller", {}), "canceller"),
             training=_build(TrainSettings, data.pop("training", {}), "training"),
@@ -264,23 +253,28 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _expect_int(data: dict, key: str, default: int) -> int:
-    value = data.pop(key, default)
-    if not _is_int(value):
-        raise ConfigError(f"{key}: expected an integer, got {value!r}")
-    return value
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float) and math.isfinite(value)
 
 
-# Scalar field annotation -> (what a value must be, its test). Nested
-# settings (iq, pa, ofdm) are checked by their own _build.
+def _are_taps(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(branch, list)
+        and all(
+            isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair))
+            for pair in branch
+        )
+        for branch in value
+    )
+
+
+# Field annotation -> (what a value must be, its test). Nested settings
+# (iq, pa, ofdm) are checked by their own _build.
 _FIELD_TYPES = {
     "int": ("an integer", _is_int),
-    "float": (
-        "a finite number",
-        lambda v: _is_int(v) or isinstance(v, float) and math.isfinite(v),
-    ),
+    "float": ("a finite number", _is_number),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
-    "list": ("a list", lambda v: isinstance(v, list)),
+    "Taps": ("lists of [re, im] pairs of finite numbers", _are_taps),
 }
 
 
@@ -309,19 +303,22 @@ def _build(cls, data, where: str):
         value = data.pop(f.name)
         if f.name in ("iq", "pa"):
             sub = IqSettings if f.name == "iq" else PaSettings
-            if isinstance(value, list) and value and isinstance(value[0], dict):
+            if isinstance(value, list) and value:
                 value = [_build(sub, v, f"{where}.{f.name}[{i}]") for i, v in enumerate(value)]
-            elif isinstance(value, dict):
-                value = _build(sub, value, f"{where}.{f.name}")
             else:
-                raise ConfigError(f"{where}.{f.name}: expected an object or list of objects")
+                value = _build(sub, value, f"{where}.{f.name}")
         elif f.name == "ofdm":
-            value = _build(OfdmSettings, value, f"{where}.ofdm")
+            value = _build(OfdmConfig, value, f"{where}.ofdm")
         else:
             _check_type(value, f.type, f"{where}.{f.name}")
         kwargs[f.name] = value
     _reject_unknown(data, where)
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ConfigError:
+        raise
+    except ValueError as exc:  # a model's own check, such as OfdmConfig's
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def load_config(path) -> RunConfig:

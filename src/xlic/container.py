@@ -32,7 +32,7 @@ import numpy as np
 MAGIC = b"XLICBIN\0"
 FORMAT_VERSION = 1
 
-_ALLOWED_DTYPES = ("<f8", "<c16", "<i8")
+_ALLOWED_DTYPES = ("<f8", "<c16")
 
 
 class ContainerError(Exception):
@@ -112,8 +112,6 @@ def write_container(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) 
             dtype = "<c16"
         elif arr.dtype == np.float64:
             dtype = "<f8"
-        elif arr.dtype == np.int64:
-            dtype = "<i8"
         else:
             raise ContainerError(f"unsupported array dtype {arr.dtype} for '{name}'")
         arr = arr.astype(dtype, copy=False)  # force little-endian layout

@@ -246,12 +246,12 @@ def train(
     x_test: np.ndarray,
     y_test: np.ndarray,
     cfg: TrainSettings,
-    shuffle_seed=None,
+    shuffle_seed,
 ) -> TrainResult:
     """Mini-batch Adam training with per-epoch loss history.
 
-    One epoch is a full pass over the training set in seeded shuffled
-    order (``shuffle_seed`` overrides ``cfg.seed``); each batch takes one
+    One epoch is a full pass over the training set in the shuffled order
+    drawn from ``shuffle_seed``; each batch takes one
     :func:`adam_step` on its :func:`backward` gradients. The returned model
     carries the weights of the epoch with the lowest test loss; the input
     model is trained in place to the final epoch.
@@ -261,10 +261,7 @@ def train(
     n_train = x_train.shape[0]
     if n_train == 0:
         raise ValueError("training set is empty")
-    seed = shuffle_seed if shuffle_seed is not None else cfg.seed
-    if seed is None:
-        raise ValueError("a shuffle seed is required for reproducible training")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(shuffle_seed)
     state = AdamState.for_model(model)
     grads = None  # one gradient buffer, reused by every step
 
@@ -305,21 +302,18 @@ def nnc_param_count(
 
 
 def nnc_complexity(
-    n_rx: int, n_tx: int, memory: int, n_paths: int, n_hidden: int, act_cost: int = 1
+    n_rx: int, n_tx: int, memory: int, n_paths: int, n_hidden: int
 ) -> int:
-    """Real operations for one network-canceller reconstruction.
-
-    ``act_cost`` is the per-node activation cost; ReLU is one comparison.
-    """
+    """Real operations for one network-canceller reconstruction."""
     return (
         2 * (2 * n_hidden + 1) * (n_tx * (memory + n_paths) + n_rx)
-        + act_cost * n_hidden
+        + n_hidden  # one per hidden activation: ReLU is one comparison
     )
 
 
-def save_model(model: FnnModel, path, extra_meta: dict | None = None) -> None:
+def save_model(model: FnnModel, path, extra_meta: dict) -> None:
     meta = {"n_in": model.n_in, "n_hidden": model.n_hidden, "n_out": model.n_out}
-    meta.update(extra_meta or {})
+    meta.update(extra_meta)
     arrays = {f.name: getattr(model, f.name) for f in fields(FnnModel)}
     container.write_container(path, MODEL_KIND, meta, arrays)
 

@@ -140,7 +140,7 @@ def deinterleave_iq(y: np.ndarray) -> np.ndarray:
 
 
 def _noise_floor(ds: CliDataset) -> float:
-    meta = ds.meta.get("scenario", {}) if isinstance(ds.meta, dict) else {}
+    meta = ds.meta.get("scenario", {})
     if meta.get("noise_enabled", False):
         return float(meta.get("awgn_power_dbm", -np.inf))
     return -np.inf
@@ -154,7 +154,7 @@ def _counted(canceller: str, ds: CliDataset, setting: int | None, **extra):
         shape += (setting,)
     return CancellerResult(
         canceller=canceller,
-        seed=ds.meta.get("seed") if isinstance(ds.meta, dict) else None,
+        seed=ds.meta.get("seed"),
         n_params=param_count(*shape),
         complexity=complexity(*shape),
         setting=setting,
@@ -208,7 +208,7 @@ def run_pc(ds: CliDataset, order: int = 3) -> CancellerResult:
 def _train_seed(ds: CliDataset, canceller: str, cfg: TrainSettings, purpose: str):
     root = cfg.seed
     if root is None:
-        root = ds.meta.get("seed", 0) if isinstance(ds.meta, dict) else 0
+        root = ds.meta.get("seed", 0)
     return derive_rng(root, purpose, canceller)
 
 

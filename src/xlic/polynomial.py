@@ -139,15 +139,12 @@ def ls_fit(
     basis: np.ndarray,
     labels: np.ndarray,
     spec: BasisSpec,
-    ridge: float = 0.0,
 ) -> PolyCoefficients:
     """Least-squares coefficient estimate, all rx antennas in one solve.
 
     ``labels`` has shape ``(n_rx, n_rows)``. Requires more rows than
     columns and a full-rank basis; rank deficiency raises
-    :class:`SingularBasisError` with a condition estimate. ``ridge`` adds
-    Tikhonov rows (sqrt(ridge) * I) for deliberately ill-conditioned
-    configurations; it defaults to off.
+    :class:`SingularBasisError` with a condition estimate.
     """
     basis = np.asarray(basis)
     labels = np.atleast_2d(np.asarray(labels, dtype=np.complex128))
@@ -159,11 +156,7 @@ def ls_fit(
         raise ValueError(
             f"underdetermined fit: {basis.shape[0]} rows < {basis.shape[1]} columns"
         )
-    rhs = labels.T
-    if ridge > 0:
-        basis = np.vstack([basis, np.sqrt(ridge) * np.eye(basis.shape[1])])
-        rhs = np.vstack([rhs, np.zeros((basis.shape[1], rhs.shape[1]))])
-    solution, _, rank, sv = np.linalg.lstsq(basis, rhs, rcond=None)
+    solution, _, rank, sv = np.linalg.lstsq(basis, labels.T, rcond=None)
     if rank < basis.shape[1]:
         cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
         raise SingularBasisError(
@@ -227,15 +220,14 @@ def tc_complexity(n_rx: int, n_tx: int, memory: int, n_paths: int) -> int:
     return 8 * n_rx * n_tx * (memory + n_paths) - 2 * n_rx
 
 
-def save_coefficients(coeffs: PolyCoefficients, path, extra_meta: dict | None = None):
+def save_coefficients(coeffs: PolyCoefficients, path, extra_meta: dict):
     meta = {
         "n_tx": coeffs.basis.n_tx,
         "depth": coeffs.basis.depth,
         "order": coeffs.basis.order,
         "linear_only": coeffs.basis.linear_only,
     }
-    if extra_meta:
-        meta.update(extra_meta)
+    meta.update(extra_meta)
     container.write_container(path, COEFFS_KIND, meta, {"weights": coeffs.weights})
 
 

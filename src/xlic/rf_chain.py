@@ -121,23 +121,15 @@ def apply_pa(x: np.ndarray, pa: PaModel) -> np.ndarray:
 
 def transmit_chain(
     x: np.ndarray,
-    iq: IqImbalance | list[IqImbalance],
-    pa: PaModel | list[PaModel],
+    iqs: list[IqImbalance],
+    pas: list[PaModel],
 ) -> np.ndarray:
-    """IQ mixer followed by PA, per transmit antenna.
+    """IQ mixer followed by PA on each row of the antenna stack ``x`` ``(n_tx, n)``.
 
-    ``x`` may be a single sequence ``(n,)`` or an antenna stack
-    ``(n_tx, n)``. Impairments may be shared (single object) or given
-    per antenna as lists matching ``n_tx``.
+    ``iqs`` and ``pas`` hold one impairment per transmit antenna.
     """
     x = np.asarray(x, dtype=np.complex128)
-    if x.ndim == 1:
-        iq_one = iq[0] if isinstance(iq, list) else iq
-        pa_one = pa[0] if isinstance(pa, list) else pa
-        return apply_pa(apply_iq_mixer(x, iq_one), pa_one)
     n_tx = x.shape[0]
-    iqs = iq if isinstance(iq, list) else [iq] * n_tx
-    pas = pa if isinstance(pa, list) else [pa] * n_tx
     if len(iqs) != n_tx or len(pas) != n_tx:
         raise ValueError(
             f"impairment list lengths ({len(iqs)}, {len(pas)}) "

@@ -22,7 +22,7 @@ import numpy as np
 from . import container
 from .channel import draw_channel, propagate, add_awgn, quantize_adc, calibrate_channel_gain
 from .channel import MultipathChannel
-from .config import ScenarioSettings, derive_rng
+from .config import ConfigError, ScenarioSettings, derive_rng
 from .polynomial import BasisSpec, build_basis_matrix
 from .rf_chain import transmit_chain
 from .waveform import generate_ofdm
@@ -76,6 +76,8 @@ class CliDataset:
             raise ValueError(f"split_index {self.split_index} out of range")
         if not (self.input_scale > 0 and self.label_scale > 0):
             raise ValueError("normalization constants must be > 0")
+        if not isinstance(self.meta, dict):
+            raise ValueError(f"meta must be an object, got {type(self.meta).__name__}")
 
     @property
     def n_tx(self) -> int:
@@ -109,9 +111,15 @@ def generate_dataset(
         raise ValueError(
             f"n_samples ({scenario.n_samples}) must exceed the window depth ({depth})"
         )
+    split = int(np.floor(scenario.train_fraction * scenario.n_samples))
+    if not (0 < split < scenario.n_samples):
+        raise ConfigError(
+            f"scenario.train_fraction: {scenario.train_fraction} leaves an empty "
+            "train or test partition"
+        )
 
     tx = generate_ofdm(
-        scenario.ofdm.build(),
+        scenario.ofdm,
         scenario.n_tx,
         n_raw,
         scenario.tx_power_dbm,
@@ -151,7 +159,6 @@ def generate_dataset(
 
     tx = tx[:, n_transient:]
     rx = rx[:, n_transient:]
-    split = int(np.floor(scenario.train_fraction * tx.shape[1]))
 
     return CliDataset(
         tx=tx,

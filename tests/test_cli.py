@@ -39,6 +39,16 @@ def run_cli(*argv) -> int:
     return main(list(argv))
 
 
+def _set(section, field, value):
+    """Config edit that sets ``cfg[section][field]`` (``cfg[field]`` for no section)."""
+
+    def edit(cfg):
+        (cfg[section] if section else cfg)[field] = value
+        return cfg
+
+    return edit
+
+
 class TestConfig:
     def test_round_trip_unchanged(self, tmp_path):
         cfg = RunConfig(seed=5)
@@ -96,6 +106,19 @@ class TestGenerate:
             ("scenario", "tx_power_dbm", float("nan")),
             ("canceller", "order", 4),
             ("training", "beta1", 1.0),
+            ("scenario", "n_rx", 0),
+            ("scenario", "train_fraction", 1.5),
+            ("scenario", "train_fraction", 0.0001),
+            ("scenario", "adc_headroom", 0.5),
+            ("scenario", "ofdm", {"cp_len": 2000}),
+            ("scenario", "ofdm", {"qam_order": 8}),
+            ("scenario", "ofdm", {"occupied_subcarriers": 2000}),
+            ("scenario", "ofdm", {"bandwidth_hz": 20e6}),
+            ("training", "batch_size", 0),
+            ("training", "learning_rate", -1e-3),
+            ("training", "epochs", 0),
+            ("training", "beta2", 1.0),
+            ("training", "epsilon", 0.0),
         ],
     )
     def test_bad_value_rejected_at_load(self, tmp_path, capsys, section, field, value):
@@ -109,6 +132,66 @@ class TestGenerate:
         assert run_cli("generate", "--config", path, "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: ConfigError: {section}.{field}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "pa, where",
+        [
+            ({"taps": [[1, 2, 3]]}, "scenario.pa.taps"),
+            ({"taps": [[["a", 0]]]}, "scenario.pa.taps"),
+            ({"taps": [None]}, "scenario.pa.taps"),
+            ({"taps": [[[1, 0, 5]]]}, "scenario.pa.taps"),
+            ({"taps": [[[1, float("inf")]]]}, "scenario.pa.taps"),
+            ([{}, {"taps": [[[True, 0]]]}], "scenario.pa[1].taps"),
+        ],
+        ids=["flat_branch", "string", "null_branch", "triple", "inf", "per_antenna_bool"],
+    )
+    def test_malformed_pa_taps_rejected_at_load(self, tmp_path, capsys, pa, where):
+        out = tmp_path / "ds.bin"
+        cfg = small_config(tmp_path, pa=pa)
+        assert run_cli("generate", "--config", cfg, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ConfigError: {where}: expected lists of [re, im] pairs")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_per_antenna_impairment_lists(self, tmp_path):
+        iq = [{"gain": 1.02, "phase_rad": 0.01}, {"gain": 0.97, "phase_rad": -0.03}]
+        pa = [{}, {"order": 1, "memory": 0, "taps": [[[1.0, 0.0]]]}]
+        out = tmp_path / "ds.bin"
+        cfg = small_config(tmp_path, iq=iq, pa=pa)
+        assert run_cli("generate", "--config", cfg, "--out", str(out)) == 0
+        from xlic import load_dataset
+
+        meta = load_dataset(out).meta["scenario"]
+        assert meta["iq"] == iq
+        assert meta["pa"][1]["taps"] == [[[1.0, 0.0]]]
+
+    @pytest.mark.parametrize(
+        "edit, where",
+        [
+            (_set("scenario", "iq", [{}, {"gain": "x"}]),
+             "scenario.iq[1].gain: expected a finite number, got 'x'"),
+            (_set("scenario", "iq", [{}, {}, {}]),
+             "scenario.iq: expected 1 or 2 entries, got 3"),
+            (_set(None, "schema_version", 2), "schema_version: 2 not supported (expected 1)"),
+            (lambda cfg: [cfg], "config root: expected a JSON object"),
+            (_set(None, "seed", 1.5), "seed: expected an integer, got 1.5"),
+            (lambda cfg: "{", "config file {path}: invalid JSON ("),
+        ],
+        ids=["per_antenna_entry", "list_length", "schema_version", "root", "seed", "json"],
+    )
+    def test_config_error_is_one_line(self, tmp_path, capsys, edit, where):
+        path = small_config(tmp_path)
+        with open(path) as fh:
+            edited = edit(json.load(fh))
+        with open(path, "w") as fh:
+            fh.write(edited if isinstance(edited, str) else json.dumps(edited))
+        out = tmp_path / "ds.bin"
+        assert run_cli("generate", "--config", path, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: " + where.replace("{path}", path))
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -256,6 +339,16 @@ class TestSweep:
         assert run_cli("sweep", "--config", cfg, "--dataset", ds, "--axis", "P",
                        "--values", "1,a", "--out", str(tmp / "s.csv")) != 0
 
+    def test_missing_dataset_is_one_line(self, pipeline, capsys):
+        cfg, _, tmp = pipeline
+        out = tmp / "s.csv"
+        assert run_cli("sweep", "--config", cfg, "--dataset", str(tmp / "no.bin"),
+                       "--axis", "P", "--values", "1", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_invalid_value_rejected_without_output(self, pipeline, capsys):
         cfg, ds, tmp = pipeline
         out = tmp / "s.csv"
@@ -393,6 +486,32 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode != 0
+
+    @staticmethod
+    def run_module(*argv):
+        import xlic
+
+        src = os.path.dirname(os.path.dirname(xlic.__file__))
+        pythonpath = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        return subprocess.run(
+            [sys.executable, "-m", "xlic", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+        )
+
+    def test_module_help_exits_zero(self):
+        proc = self.run_module("--help")
+        assert proc.returncode == 0
+        assert "generate" in proc.stdout and "sweep" in proc.stdout
+        assert proc.stderr == ""
+
+    def test_module_usage_error_is_one_line(self):
+        proc = self.run_module("bogus")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: usage: ")
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
 
 
 class TestFormatting:

@@ -148,15 +148,6 @@ class TestLsFit:
         )
         assert rel < 1e-8
 
-    def test_ridge_shrinks_solution(self, rng):
-        spec = BasisSpec(n_tx=1, depth=2, order=3)
-        tx = rng.standard_normal((1, 300)) + 1j * rng.standard_normal((1, 300))
-        basis = build_basis_matrix(tx, spec)
-        labels = rng.standard_normal((1, basis.shape[0])) + 0j
-        plain = ls_fit(basis, labels, spec)
-        ridged = ls_fit(basis, labels, spec, ridge=1e3)
-        assert np.linalg.norm(ridged.weights) < np.linalg.norm(plain.weights)
-
 
 class TestReconstruct:
     def test_zero_coefficients_zero_output(self, rng):

@@ -129,16 +129,18 @@ class TestPaModel:
 
 
 class TestTransmitChain:
+    """``transmit_chain`` takes an ``(n_tx, n)`` stack and one impairment per antenna."""
+
     def test_ideal_chain_is_identity(self, rng):
-        x = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-        y = transmit_chain(x, IqImbalance(), PaModel.identity())
+        x = rng.standard_normal((2, 20)) + 1j * rng.standard_normal((2, 20))
+        y = transmit_chain(x, [IqImbalance()] * 2, [PaModel.identity()] * 2)
         assert_allclose(y, x)
 
     def test_balanced_mixer_reduces_to_pa(self, rng):
         pa = PaModel(order=3, memory=0, taps=np.array([[1.0], [-0.05]]))
-        x = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+        x = rng.standard_normal((1, 30)) + 1j * rng.standard_normal((1, 30))
         assert_allclose(
-            transmit_chain(x, IqImbalance(1.0, 0.0), pa), apply_pa(x, pa)
+            transmit_chain(x, [IqImbalance(1.0, 0.0)], [pa]), apply_pa(x, pa)
         )
 
     def test_matches_straight_line_oracle(self, rng):
@@ -150,8 +152,9 @@ class TestTransmitChain:
         pa = PaModel(order=3, memory=memory, taps=np.array([taps[1], taps[3]]))
         x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         expected = chain_oracle(x, gain, phase, taps, memory)
-        got = transmit_chain(x, IqImbalance(gain, phase), pa)
-        assert_allclose(got, expected, rtol=1e-12)
+        got = transmit_chain(x[None, :], [IqImbalance(gain, phase)], [pa])
+        assert got.shape == (1, 16)
+        assert_allclose(got[0], expected, rtol=1e-12)
 
     def test_per_antenna_impairments(self, rng):
         x = rng.standard_normal((2, 25)) + 1j * rng.standard_normal((2, 25))
@@ -164,4 +167,6 @@ class TestTransmitChain:
     def test_impairment_list_length_mismatch_rejected(self, rng):
         x = rng.standard_normal((3, 10)).astype(complex)
         with pytest.raises(ValueError, match="antenna count"):
-            transmit_chain(x, [IqImbalance()] * 2, PaModel.identity())
+            transmit_chain(x, [IqImbalance()] * 2, [PaModel.identity()] * 3)
+        with pytest.raises(ValueError, match="antenna count"):
+            transmit_chain(x, [IqImbalance()] * 3, [PaModel.identity()] * 4)

@@ -170,6 +170,24 @@ class TestPersistence:
         with pytest.raises(ContainerChecksumError):
             load_dataset(path)
 
+    @pytest.mark.parametrize("meta", [[1, 2], None, "seed"])
+    def test_non_object_meta_rejected_at_load(self, tmp_path, meta):
+        from xlic import container
+        from xlic.scenario import DATASET_KIND
+
+        ds = generate_dataset(small_scenario(), seed=21)
+        path = tmp_path / "ds.bin"
+        header = dict(
+            input_scale=ds.input_scale,
+            label_scale=ds.label_scale,
+            split_index=ds.split_index,
+            window_depth=ds.window_depth,
+            meta=meta,
+        )
+        container.write_container(path, DATASET_KIND, header, {"tx": ds.tx, "rx": ds.rx})
+        with pytest.raises(ValueError, match="meta must be an object"):
+            load_dataset(path)
+
 
 class TestPowerConvention:
     def test_total_power_target_shifts_per_antenna_level(self):
