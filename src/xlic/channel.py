@@ -86,13 +86,6 @@ class MultipathChannel:
     def n_tx(self) -> int:
         return self.taps.shape[1]
 
-    @property
-    def n_paths(self) -> int:
-        return self.taps.shape[2]
-
-    def scaled(self, factor: float) -> "MultipathChannel":
-        return MultipathChannel(self.taps * factor)
-
 
 def dbm_to_watts(power_dbm: float) -> float:
     return 10.0 ** ((power_dbm - 30.0) / 10.0)
@@ -207,4 +200,4 @@ def calibrate_channel_gain(
         raise ValueError("calibration probe has zero energy")
     measured = measure_power_dbm(propagate(probe_tx, channel))
     factor = 10.0 ** ((target_rx_power_dbm - measured) / 20.0)
-    return channel.scaled(factor), factor
+    return MultipathChannel(channel.taps * factor), factor

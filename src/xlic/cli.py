@@ -67,19 +67,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# The one column whose CancellerResult attribute has another name.
+_RESULT_ATTRS = {"residual_dbm": "residual_power_dbm"}
+
+
 def _result_row(res: CancellerResult) -> dict:
-    return {
-        "canceller": res.canceller,
-        "seed": _fmt(res.seed),
-        "setting": _fmt(res.setting),
-        "c_db": _fmt(res.c_db),
-        "residual_dbm": _fmt(res.residual_power_dbm),
-        "rx_power_dbm": _fmt(res.rx_power_dbm),
-        "noise_floor_dbm": _fmt(res.noise_floor_dbm),
-        "n_params": _fmt(res.n_params),
-        "complexity": _fmt(res.complexity),
-        "epochs": _fmt(res.epochs),
-    }
+    return {f: _fmt(getattr(res, _RESULT_ATTRS.get(f, f))) for f in RESULT_FIELDS}
 
 
 def _write_csv(path: str, fields: list[str], rows: list[dict]) -> None:
@@ -160,21 +153,14 @@ def cmd_generate(args) -> int:
 
 
 def _epoch_rows(res: CancellerResult) -> list[dict]:
-    rows = []
+    """One ``EPOCH_FIELDS`` row per training epoch; none for tc and pc."""
     if res.test_losses is None:
-        return rows
-    for i in range(len(res.test_losses)):
-        rows.append(
-            {
-                "canceller": res.canceller,
-                "seed": _fmt(res.seed),
-                "epoch": str(i + 1),
-                "train_loss": _fmt(res.train_losses[i]),
-                "test_loss": _fmt(res.test_losses[i]),
-                "test_c_db": _fmt(res.c_db_history[i]),
-            }
-        )
-    return rows
+        return []
+    histories = zip(res.train_losses, res.test_losses, res.c_db_history)
+    return [
+        dict(zip(EPOCH_FIELDS, [res.canceller, _fmt(res.seed), str(epoch), *map(_fmt, values)]))
+        for epoch, values in enumerate(histories, start=1)
+    ]
 
 
 def _epochs_path(results_path: str) -> str:
@@ -207,11 +193,6 @@ def _save_artifacts(res: CancellerResult, models_dir: str) -> None:
 
 def cmd_run(args) -> int:
     cfg = _load_run_config(args.config, args.seed)
-    if args.canceller not in CANCELLERS:
-        raise CliError(
-            f"usage: unknown canceller '{args.canceller}' "
-            f"(expected one of {', '.join(CANCELLERS)})"
-        )
     ds = _load_dataset(args.dataset)
     n_hidden = cfg.canceller.nnc_hidden if args.canceller == "nnc" else cfg.canceller.hc_hidden
     res = run_canceller(
@@ -327,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True)
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--dataset", required=True, help="dataset file from 'generate'")
-    run.add_argument("--canceller", required=True, help="tc, pc, nnc or hc")
+    run.add_argument("--canceller", required=True, choices=CANCELLERS)
     run.add_argument("--out", default=None, help="results CSV (rows are appended)")
     run.add_argument(
         "--models-dir", default=None, help="where to save fitted models/coefficients"

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import AdcConfig, NoiseModel, PathLossModel
+from .channel import PathLossModel
 from .rf_chain import IqImbalance, PaModel
 from .waveform import OfdmConfig
 
@@ -72,6 +72,9 @@ class IqSettings:
     gain: float = 1.05
     phase_rad: float = 0.05
 
+    def __post_init__(self):
+        self.build()  # the model's own checks, at load
+
     def build(self) -> IqImbalance:
         return IqImbalance(gain=self.gain, phase_rad=self.phase_rad)
 
@@ -81,6 +84,9 @@ class PaSettings:
     order: int = 3
     memory: int = 2
     taps: Taps = field(default_factory=lambda: [list(b) for b in DEFAULT_PA_TAPS])
+
+    def __post_init__(self):
+        self.build()  # the model's own checks, at load
 
     def build(self) -> PaModel:
         taps = np.array(
@@ -125,13 +131,19 @@ class ScenarioSettings:
     ofdm: OfdmConfig = field(default_factory=OfdmConfig)
 
     def __post_init__(self):
-        for name in ("n_rx", "n_tx", "n_paths", "n_samples"):
+        for name in ("n_rx", "n_tx", "n_paths", "n_samples", "adc_bits"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"scenario.{name}: must be >= 1")
         if not (0.0 < self.train_fraction < 1.0):
             raise ConfigError("scenario.train_fraction: must be in (0, 1)")
+        if not (self.adc_full_scale is None or self.adc_full_scale > 0):
+            raise ConfigError("scenario.adc_full_scale: must be > 0 or null")
         if self.adc_headroom < 1.0:
             raise ConfigError("scenario.adc_headroom: must be >= 1")
+        if not (self.pathloss_distance_m > 0):
+            raise ConfigError("scenario.pathloss_distance_m: must be > 0")
+        if not (self.pathloss_exponent >= 0):
+            raise ConfigError("scenario.pathloss_exponent: must be >= 0")
 
     def _per_antenna(self, name: str) -> list:
         """The built ``iq`` or ``pa`` model of each tx antenna; one entry is shared."""
@@ -155,12 +167,6 @@ class ScenarioSettings:
 
     def pathloss(self) -> PathLossModel:
         return PathLossModel(self.pathloss_distance_m, self.pathloss_exponent)
-
-    def noise(self) -> NoiseModel:
-        return NoiseModel(self.awgn_power_dbm if self.noise_enabled else -np.inf)
-
-    def adc(self, full_scale: float) -> AdcConfig:
-        return AdcConfig(bits=self.adc_bits, full_scale=full_scale)
 
     @property
     def window_depth(self) -> int:

@@ -51,9 +51,9 @@ class ContainerTruncatedError(ContainerError):
     """File ended before the declared content was read."""
 
 
-def _pack_str(s: str, width: str = "<H") -> bytes:
+def _pack_str(s: str) -> bytes:
     raw = s.encode("utf-8")
-    return struct.pack(width, len(raw)) + raw
+    return struct.pack("<H", len(raw)) + raw
 
 
 class _Reader:
@@ -74,8 +74,8 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def take_str(self, width: str = "<H") -> str:
-        (n,) = self.unpack(width)
+    def take_str(self) -> str:
+        (n,) = self.unpack("<H")
         return self.take(n).decode("utf-8")
 
 

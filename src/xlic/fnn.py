@@ -223,10 +223,6 @@ class TrainResult:
     train_losses: list[float]
     test_losses: list[float]
     best_epoch: int  # 1-based epoch whose weights were retained
-    epochs: int = field(init=False)
-
-    def __post_init__(self):
-        self.epochs = len(self.train_losses)
 
 
 def _eval_loss(model: FnnModel, x: np.ndarray, y: np.ndarray) -> float:

@@ -16,8 +16,8 @@ residual power in dBm and the canceller's parameter/complexity counts.
 
 Each idea has one implementation: ``_linear_fit`` is the LS fit of tc,
 pc and hc's stage 1; ``_fit_network`` trains and scores the networks of
-nnc and hc; the ``COUNTS`` table gives every canceller's parameter and
-complexity counts, for scored rows and for counts-only sweeps alike.
+nnc and hc; the ``CANCELLERS`` table names every canceller with its counts,
+for scored rows and counts-only sweeps alike, and its settings field.
 
 A perfectly cancelled window (zero residual) is reported as "above
 measurable range" (infinite ratio) rather than a number.
@@ -43,8 +43,6 @@ from .polynomial import (
     tc_param_count,
 )
 from .scenario import CliDataset, build_regressors
-
-CANCELLERS = ("tc", "pc", "nnc", "hc")
 
 
 def cancellation_db(s: np.ndarray, s_hat: np.ndarray) -> float:
@@ -83,13 +81,13 @@ def hc_complexity(n_rx: int, n_tx: int, memory: int, n_paths: int, n_hidden: int
     return tc_complexity(*shape) + nnc_complexity(*shape, n_hidden)
 
 
-# Real-parameter and real-operation counts per canceller, called as
-# ``(n_rx, n_tx, memory, n_paths[, setting])``; only memory + n_paths matters.
-COUNTS = {
-    "tc": (tc_param_count, tc_complexity),
-    "pc": (pc_param_count, pc_complexity),
-    "nnc": (nnc_param_count, nnc_complexity),
-    "hc": (hc_param_count, hc_complexity),
+# name -> (real-parameter count, real-operation count, CancellerSettings field);
+# the counts take ``(n_rx, n_tx, memory, n_paths[, setting])``, memory + n_paths only.
+CANCELLERS = {
+    "tc": (tc_param_count, tc_complexity, None),
+    "pc": (pc_param_count, pc_complexity, "order"),
+    "nnc": (nnc_param_count, nnc_complexity, "nnc_hidden"),
+    "hc": (hc_param_count, hc_complexity, "hc_hidden"),
 }
 
 
@@ -119,12 +117,9 @@ class CancellerResult:
 
 
 def _aligned_labels(ds: CliDataset) -> tuple[np.ndarray, int]:
-    """Labels aligned with regressor/basis rows and the first test row."""
+    """Labels aligned with regressor/basis rows; the first test row (>= 1)."""
     labels = ds.rx[:, ds.window_depth - 1 :]
-    split_row = ds.split_index - (ds.window_depth - 1)
-    if split_row < 1 or split_row >= labels.shape[1]:
-        raise ValueError("dataset split leaves an empty train or test partition")
-    return labels, split_row
+    return labels, ds.split_index - (ds.window_depth - 1)
 
 
 def interleave_iq(s: np.ndarray) -> np.ndarray:
@@ -148,7 +143,7 @@ def _noise_floor(ds: CliDataset) -> float:
 
 def _counted(canceller: str, ds: CliDataset, setting: int | None, **extra):
     """Result row with ``canceller``'s counts at ``setting`` (None for tc)."""
-    param_count, complexity = COUNTS[canceller]
+    param_count, complexity, _ = CANCELLERS[canceller]
     shape = (ds.n_rx, ds.n_tx, 0, ds.window_depth)
     if setting is not None:
         shape += (setting,)
@@ -260,7 +255,7 @@ def _fit_network(
         ds,
         n_hidden,
         base + deinterleave_iq(pred),
-        epochs=fit.epochs,
+        epochs=len(fit.train_losses),
         best_epoch=fit.best_epoch,
         train_losses=fit.train_losses,
         test_losses=fit.test_losses,
@@ -342,13 +337,11 @@ def run_canceller(
         cfg = train_cfg or TrainSettings()
         runner = run_nnc if canceller == "nnc" else run_hc
         return runner(ds, n_hidden, cfg)
-    raise ValueError(f"unknown canceller '{canceller}' (expected one of {CANCELLERS})")
+    raise ValueError(f"unknown canceller '{canceller}' (expected one of {tuple(CANCELLERS)})")
 
 
 # Sweep axis -> the run_canceller argument it sets and the cancellers it covers.
 SWEEP_AXES = {"P": ("order", ("pc",)), "nh": ("n_hidden", ("nnc", "hc"))}
-# The CancellerSettings field whose checks bound each canceller's swept value.
-SETTING_FIELDS = {"pc": "order", "nnc": "nnc_hidden", "hc": "hc_hidden"}
 
 
 def sweep(
@@ -371,7 +364,7 @@ def sweep(
     arg, cancellers = SWEEP_AXES[axis]
     values = list(values)
     for value in values:
-        CancellerSettings(**{SETTING_FIELDS[c]: value for c in cancellers})
+        CancellerSettings(**{CANCELLERS[c][2]: value for c in cancellers})
     rows: list[CancellerResult] = []
     for value in values:
         for canceller in cancellers:

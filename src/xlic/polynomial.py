@@ -105,10 +105,6 @@ class PolyCoefficients:
             )
         object.__setattr__(self, "weights", w)
 
-    @property
-    def n_rx(self) -> int:
-        return self.weights.shape[0]
-
 
 def build_basis_matrix(tx: np.ndarray, spec: BasisSpec) -> np.ndarray:
     """Evaluate every basis term on delayed transmit samples.

@@ -21,13 +21,15 @@ import numpy as np
 
 from . import container
 from .channel import draw_channel, propagate, add_awgn, quantize_adc, calibrate_channel_gain
-from .channel import MultipathChannel
-from .config import ConfigError, ScenarioSettings, derive_rng
+from .channel import AdcConfig, MultipathChannel, NoiseModel
+from .config import ConfigError, ScenarioSettings, _is_int, _is_number, derive_rng
 from .polynomial import BasisSpec, build_basis_matrix
 from .rf_chain import transmit_chain
 from .waveform import generate_ofdm
 
 DATASET_KIND = "dataset"
+# The scalar fields of a CliDataset, stored in its container's JSON header.
+_HEADER = ("input_scale", "label_scale", "split_index", "window_depth", "meta")
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,8 @@ class CliDataset:
         Max |rx| over the training partition (normalizer for canceller
         labels).
     split_index : int
-        First test sample index (``floor(train_fraction * n)``).
+        First test sample index (``floor(train_fraction * n)``), with
+        ``window_depth <= split_index < n``: both partitions hold a row.
     window_depth : int
         Memory depth of the generating chain (PA memory + path count);
         regressor windows use this many taps per antenna.
@@ -72,10 +75,20 @@ class CliDataset:
             raise ValueError(
                 f"tx and rx lengths differ: {self.tx.shape[1]} vs {self.rx.shape[1]}"
             )
-        if not (0 < self.split_index < self.tx.shape[1]):
-            raise ValueError(f"split_index {self.split_index} out of range")
-        if not (self.input_scale > 0 and self.label_scale > 0):
-            raise ValueError("normalization constants must be > 0")
+        for name in ("input_scale", "label_scale"):
+            value = getattr(self, name)
+            if not (_is_number(value) and value > 0):
+                raise ValueError(f"{name} must be > 0 (a finite number), got {value!r}")
+        for name in ("split_index", "window_depth"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.window_depth < 1:
+            raise ValueError(f"window_depth must be >= 1, got {self.window_depth}")
+        if not (self.window_depth <= self.split_index < self.n_samples):
+            raise ValueError(
+                f"split_index {self.split_index} leaves an empty train or test partition "
+                f"(window depth {self.window_depth}, {self.n_samples} samples)"
+            )
         if not isinstance(self.meta, dict):
             raise ValueError(f"meta must be an object, got {type(self.meta).__name__}")
 
@@ -112,10 +125,10 @@ def generate_dataset(
             f"n_samples ({scenario.n_samples}) must exceed the window depth ({depth})"
         )
     split = int(np.floor(scenario.train_fraction * scenario.n_samples))
-    if not (0 < split < scenario.n_samples):
+    if not (depth <= split < scenario.n_samples):
         raise ConfigError(
             f"scenario.train_fraction: {scenario.train_fraction} leaves an empty "
-            "train or test partition"
+            f"train or test partition (split {split}, window depth {depth})"
         )
 
     tx = generate_ofdm(
@@ -148,14 +161,15 @@ def generate_dataset(
         channel, channel_scale = calibrate_channel_gain(channel, amplified, target)
 
     rx = propagate(amplified, channel)
-    rx = add_awgn(rx, scenario.noise(), derive_rng(seed, "noise"))
+    noise = NoiseModel(scenario.awgn_power_dbm if scenario.noise_enabled else -np.inf)
+    rx = add_awgn(rx, noise, derive_rng(seed, "noise"))
 
     full_scale = scenario.adc_full_scale
     if scenario.adc_enabled:
         if full_scale is None:
             peak = max(np.abs(rx.real).max(), np.abs(rx.imag).max())
             full_scale = scenario.adc_headroom * float(peak)
-        rx = quantize_adc(rx, scenario.adc(full_scale))
+        rx = quantize_adc(rx, AdcConfig(bits=scenario.adc_bits, full_scale=full_scale))
 
     tx = tx[:, n_transient:]
     rx = rx[:, n_transient:]
@@ -193,24 +207,19 @@ def build_regressors(tx: np.ndarray, depth: int) -> np.ndarray:
 
 
 def save_dataset(ds: CliDataset, path) -> None:
-    meta = {
-        "input_scale": ds.input_scale,
-        "label_scale": ds.label_scale,
-        "split_index": ds.split_index,
-        "window_depth": ds.window_depth,
-        "meta": ds.meta,
-    }
-    container.write_container(path, DATASET_KIND, meta, {"tx": ds.tx, "rx": ds.rx})
+    header = {name: getattr(ds, name) for name in _HEADER}
+    container.write_container(path, DATASET_KIND, header, {"tx": ds.tx, "rx": ds.rx})
 
 
 def load_dataset(path) -> CliDataset:
-    _, meta, arrays = container.read_container(path, expected_kind=DATASET_KIND)
+    """Read a dataset; a missing header field or array raises ``ContainerError``."""
+    _, header, arrays = container.read_container(path, expected_kind=DATASET_KIND)
+    missing = [name for name in ("tx", "rx") if name not in arrays]
+    missing += [name for name in _HEADER if not isinstance(header, dict) or name not in header]
+    if missing:
+        raise container.ContainerError(f"{path}: dataset has no '{missing[0]}'")
     return CliDataset(
         tx=arrays["tx"],
         rx=arrays["rx"],
-        input_scale=meta["input_scale"],
-        label_scale=meta["label_scale"],
-        split_index=meta["split_index"],
-        window_depth=meta["window_depth"],
-        meta=meta["meta"],
+        **{name: header[name] for name in _HEADER},
     )

@@ -171,7 +171,7 @@ class TestCalibration:
         ch = draw_channel(11, 2, 2, 3)
         probe = self._probe(rng)
         a, _ = calibrate_channel_gain(ch, probe, -55.0)
-        b, _ = calibrate_channel_gain(ch.scaled(2.0), probe, -55.0)
+        b, _ = calibrate_channel_gain(MultipathChannel(ch.taps * 2.0), probe, -55.0)
         assert measure_power_dbm(propagate(probe, a)) == pytest.approx(
             measure_power_dbm(propagate(probe, b))
         )

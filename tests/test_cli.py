@@ -35,6 +35,9 @@ def small_config(tmp_path, **scenario_overrides) -> str:
     return str(path)
 
 
+PAIRS = "expected lists of [re, im] pairs"
+
+
 def run_cli(*argv) -> int:
     return main(list(argv))
 
@@ -119,6 +122,15 @@ class TestGenerate:
             ("training", "epochs", 0),
             ("training", "beta2", 1.0),
             ("training", "epsilon", 0.0),
+            # once checked only by the models at generate, without the field's name
+            ("scenario", "adc_bits", 0),
+            ("scenario", "adc_full_scale", -1.0),
+            ("scenario", "pathloss_distance_m", 0),
+            ("scenario", "pathloss_exponent", -1),
+            ("scenario", "pa", {"taps": [[[1.0, 0.0]]]}),
+            ("scenario", "pa", {"order": 2}),
+            # split 2 on 2500 samples leaves no training row once the depth-5 line is full
+            ("scenario", "train_fraction", 0.001),
         ],
     )
     def test_bad_value_rejected_at_load(self, tmp_path, capsys, section, field, value):
@@ -138,21 +150,32 @@ class TestGenerate:
     @pytest.mark.parametrize(
         "pa, where",
         [
-            ({"taps": [[1, 2, 3]]}, "scenario.pa.taps"),
-            ({"taps": [[["a", 0]]]}, "scenario.pa.taps"),
-            ({"taps": [None]}, "scenario.pa.taps"),
-            ({"taps": [[[1, 0, 5]]]}, "scenario.pa.taps"),
-            ({"taps": [[[1, float("inf")]]]}, "scenario.pa.taps"),
-            ([{}, {"taps": [[[True, 0]]]}], "scenario.pa[1].taps"),
+            ({"taps": [[1, 2, 3]]}, "scenario.pa.taps: " + PAIRS),
+            ({"taps": [[["a", 0]]]}, "scenario.pa.taps: " + PAIRS),
+            ({"taps": [None]}, "scenario.pa.taps: " + PAIRS),
+            ({"taps": [[[1, 0, 5]]]}, "scenario.pa.taps: " + PAIRS),
+            ({"taps": [[[1, float("inf")]]]}, "scenario.pa.taps: " + PAIRS),
+            ([{}, {"taps": [[[True, 0]]]}], "scenario.pa[1].taps: " + PAIRS),
+            ([{}, {"taps": [[[1.0, 0.0]]]}], "scenario.pa[1]: PA taps shape (1, 1)"),
+            ([{"order": 2}, {}], "scenario.pa[0]: PA order must be odd"),
         ],
-        ids=["flat_branch", "string", "null_branch", "triple", "inf", "per_antenna_bool"],
+        ids=[
+            "flat_branch",
+            "string",
+            "null_branch",
+            "triple",
+            "inf",
+            "per_antenna_bool",
+            "per_antenna_shape",
+            "per_antenna_order",
+        ],
     )
     def test_malformed_pa_taps_rejected_at_load(self, tmp_path, capsys, pa, where):
         out = tmp_path / "ds.bin"
         cfg = small_config(tmp_path, pa=pa)
         assert run_cli("generate", "--config", cfg, "--out", str(out)) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: ConfigError: {where}: expected lists of [re, im] pairs")
+        assert err.startswith(f"error: ConfigError: {where}")
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -301,8 +324,45 @@ class TestRun:
     def test_unknown_canceller_usage_error(self, pipeline, capsys):
         cfg, ds, tmp = pipeline
         assert run_cli("run", "--config", cfg, "--dataset", ds,
-                       "--canceller", "xyz") != 0
-        assert "usage: unknown canceller" in capsys.readouterr().err
+                       "--canceller", "xyz") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage: argument --canceller: invalid choice: 'xyz'")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "edit, expected",
+        [
+            (lambda h, a: h.pop("input_scale"), "error: dataset: {ds}: dataset has no 'input_"),
+            (lambda h, a: a.pop("rx"), "error: dataset: {ds}: dataset has no 'rx'"),
+            (lambda h, a: h.update(split_index=5.5), "error: ValueError: split_index must be"),
+            (lambda h, a: h.update(label_scale="big"), "error: ValueError: label_scale must be"),
+            (lambda h, a: h.update(window_depth=0), "error: ValueError: window_depth must be"),
+            (lambda h, a: h.update(split_index=4), "error: ValueError: split_index 4 leaves"),
+        ],
+        ids=[
+            "missing_scale",
+            "missing_array",
+            "fractional_split",
+            "string_scale",
+            "zero_depth",
+            "short_split",
+        ],
+    )
+    def test_malformed_dataset_is_one_line(self, pipeline, capsys, edit, expected):
+        from xlic import container
+        from xlic.scenario import DATASET_KIND
+
+        cfg, ds, tmp = pipeline
+        _, header, arrays = container.read_container(ds, expected_kind=DATASET_KIND)
+        edit(header, arrays)
+        container.write_container(ds, DATASET_KIND, header, arrays)
+        out = tmp / "results.csv"
+        assert run_cli("run", "--config", cfg, "--dataset", ds, "--canceller", "tc",
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(expected.format(ds=ds))
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_missing_dataset_reported(self, pipeline, capsys):
         cfg, _, tmp = pipeline
@@ -386,6 +446,12 @@ class TestReport:
         bad.write_text("canceller,seed\nx,1\n")
         assert run_cli("report", "--results", str(bad)) != 0
         assert "schema" in capsys.readouterr().err
+
+    def test_missing_results_is_one_line(self, tmp_path, capsys):
+        missing = tmp_path / "none.csv"
+        assert run_cli("report", "--results", str(missing), "--out-dir", str(tmp_path)) == 2
+        assert capsys.readouterr().err == f"error: input: file not found: {missing}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDeterminism:

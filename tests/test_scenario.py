@@ -145,6 +145,18 @@ class TestNormalize:
         with pytest.raises(ValueError, match="must be > 0"):
             CliDataset(input_scale=ds.input_scale, label_scale=-1.0, **fields)
 
+    def test_split_rule_holds_for_every_dataset(self):
+        # window_depth <= split_index < n_samples: a training row once the
+        # delay line is full, and a test row
+        ds = generate_dataset(small_scenario(), seed=2)
+        fields = dict(tx=ds.tx, rx=ds.rx, input_scale=1.0, label_scale=1.0)
+        depth, n = ds.window_depth, ds.n_samples
+        for split in (depth - 1, n):
+            with pytest.raises(ValueError, match="empty train or test partition"):
+                CliDataset(split_index=split, window_depth=depth, **fields)
+        for split in (depth, n - 1):
+            CliDataset(split_index=split, window_depth=depth, **fields)
+
 
 class TestPersistence:
     def test_round_trip_equality(self, tmp_path):

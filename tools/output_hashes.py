@@ -1,0 +1,99 @@
+"""Print sha256 digests of xlic's outputs, to compare two checkouts bit for bit.
+
+    python3 tools/output_hashes.py <checkout> > a.json; diff a.json b.json
+
+Imports ``xlic`` from ``<checkout>/src`` at one BLAS thread. Hashes datasets and
+every ``CancellerResult`` field, history and weight array of tc, pc (P=3), nnc and
+hc (3 epochs) on a small 2x2 scenario (seeds 1-2) and the default 4x4 one (seed 1);
+``sweep`` on P and nh; and the CLI's exit status, stdout, stderr and file bytes.
+"""
+
+import contextlib
+import dataclasses
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+import numpy as np  # noqa: E402
+
+SRC = os.path.join(os.path.abspath(sys.argv[1]), "src")
+sys.path.insert(0, SRC)
+import xlic  # noqa: E402
+from xlic import OfdmConfig, ScenarioSettings, TrainSettings, cli, harness  # noqa: E402
+
+if not xlic.__file__.startswith(SRC + os.sep):
+    sys.exit(f"xlic was imported from {xlic.__file__}, not from {SRC}")
+SMALL = {"n_rx": 2, "n_tx": 2, "n_paths": 3, "n_samples": 4000}
+SMALL_OFDM = {"fft_size": 256, "occupied_subcarriers": 28, "cp_len": 18}
+TRAIN = TrainSettings(epochs=3)
+digests = {}
+
+
+def put(key: str, value) -> None:
+    if isinstance(value, np.ndarray):
+        value = f"{value.dtype}{value.shape}".encode() + np.ascontiguousarray(value).tobytes()
+    raw = value if isinstance(value, bytes) else repr(value).encode()
+    digests[key] = hashlib.sha256(raw).hexdigest()
+
+
+def put_result(key: str, res) -> None:
+    for f in dataclasses.fields(res):
+        if f.name != "artifacts":
+            put(f"{key}/{f.name}", getattr(res, f.name))
+    for name, obj in res.artifacts.items():
+        # an FnnModel's four arrays, a PolyCoefficients' weights, or a scale
+        arrays = obj.params() if hasattr(obj, "params") else [getattr(obj, "weights", obj)]
+        for i, arr in enumerate(arrays):
+            put(f"{key}/{name}/{i}", arr)
+
+
+def library(tag: str, scenario, seeds, nnc_hidden: int, hc_hidden: int, orders) -> None:
+    for seed in seeds:
+        ds = xlic.generate_dataset(scenario, seed)
+        key = f"{tag}/s{seed}"
+        for name in ("tx", "rx", "input_scale", "label_scale", "split_index", "window_depth"):
+            put(f"{key}/ds/{name}", getattr(ds, name))
+        put(f"{key}/ds/meta", json.dumps(ds.meta, sort_keys=True))
+        for c, n_hidden in (("tc", 0), ("pc", 0), ("nnc", nnc_hidden), ("hc", hc_hidden)):
+            res = harness.run_canceller(ds, c, order=3, n_hidden=n_hidden, train_cfg=TRAIN)
+            put_result(f"{key}/{c}", res)
+        for axis, values in (("P", orders), ("nh", (8, 24))):
+            for perf in (True, False):
+                rows = harness.sweep(ds, axis, values, train_cfg=TRAIN, with_performance=perf)
+                for i, row in enumerate(rows):
+                    put_result(f"{key}/sweep_{axis}_{perf}/{i}", row)
+
+
+def command_line() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        config, ds, out = (os.path.join(tmp, n) for n in ("cfg.json", "ds.bin", "results.csv"))
+        with open(config, "w") as fh:
+            cfg = {"seed": 5, "scenario": {**SMALL, "ofdm": SMALL_OFDM}, "training": {"epochs": 3}}
+            json.dump({**cfg, "canceller": {"nnc_hidden": 16, "hc_hidden": 8}}, fh)
+        runs = [["run", "--canceller", c, "--out", out] for c in ("tc", "pc", "nnc", "hc", "xyz")]
+        runs += [["sweep", "--axis", "nh", "--values", "8,24", "--out", f"{tmp}/nh.csv"]]
+        runs += [["sweep", "--axis", "P", "--values", "1,3,5", "--no-train",
+                  "--out", f"{tmp}/p.csv"]]
+        runs = [["generate", "--out", ds]] + [argv + ["--dataset", ds] for argv in runs]
+        runs = [argv + ["--config", config] for argv in runs]
+        runs.append(["report", "--results", out, "--out-dir", f"{tmp}/report"])
+        for i, argv in enumerate(runs):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                put(f"cli/{i}_{argv[0]}/exit", cli.main(argv))
+            for name, text in (("stdout", stdout), ("stderr", stderr)):
+                put(f"cli/{i}_{argv[0]}/{name}", text.getvalue().replace(tmp, "<tmp>"))
+        for root, _, files in os.walk(tmp):
+            for name in files:
+                with open(os.path.join(root, name), "rb") as fh:
+                    put(f"cli/file/{name}", fh.read().replace(tmp.encode(), b"<tmp>"))
+
+
+small = ScenarioSettings(**SMALL, ofdm=OfdmConfig(**SMALL_OFDM))
+library("small", small, (1, 2), 16, 8, (1, 3, 5))
+library("default", ScenarioSettings(), (1,), 300, 200, (1, 3))
+command_line()
+print(json.dumps(digests, indent=1, sort_keys=True))
