@@ -144,6 +144,11 @@ class ScenarioSettings:
             raise ConfigError("scenario.pathloss_distance_m: must be > 0")
         if not (self.pathloss_exponent >= 0):
             raise ConfigError("scenario.pathloss_exponent: must be >= 0")
+        if self.n_samples <= self.window_depth:
+            raise ConfigError(
+                f"scenario.n_samples: {self.n_samples} must exceed the window depth "
+                f"({self.window_depth})"
+            )
 
     def _per_antenna(self, name: str) -> list:
         """The built ``iq`` or ``pa`` model of each tx antenna; one entry is shared."""

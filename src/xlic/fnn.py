@@ -247,10 +247,11 @@ def train(
     """Mini-batch Adam training with per-epoch loss history.
 
     One epoch is a full pass over the training set in the shuffled order
-    drawn from ``shuffle_seed``; each batch takes one
-    :func:`adam_step` on its :func:`backward` gradients. The returned model
-    carries the weights of the epoch with the lowest test loss; the input
-    model is trained in place to the final epoch.
+    drawn from ``shuffle_seed``; each batch is gathered from the training
+    rows by that order, so no shuffled copy of the training set is made,
+    and takes one :func:`adam_step` on its :func:`backward` gradients. The
+    returned model carries the weights of the epoch with the lowest test
+    loss; the input model is trained in place to the final epoch.
     """
     x_train = np.ascontiguousarray(x_train, dtype=np.float64)
     y_train = np.ascontiguousarray(y_train, dtype=np.float64)
@@ -269,10 +270,9 @@ def train(
 
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n_train)
-        xs, ys = x_train[order], y_train[order]
         for start in range(0, n_train, cfg.batch_size):
-            rows = slice(start, start + cfg.batch_size)
-            grads = backward(model, xs[rows], ys[rows], out=grads)
+            rows = order[start : start + cfg.batch_size]
+            grads = backward(model, x_train[rows], y_train[rows], out=grads)
             adam_step(model, state, grads, cfg)
 
         train_losses.append(_eval_loss(model, x_train, y_train))

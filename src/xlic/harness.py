@@ -31,8 +31,9 @@ import numpy as np
 
 from .channel import measure_power_dbm
 from .config import CancellerSettings, TrainSettings, derive_rng
-from .fnn import FnnModel, forward, nnc_complexity, nnc_param_count, train
+from .fnn import EVAL_ROWS, FnnModel, forward, nnc_complexity, nnc_param_count, train
 from .polynomial import (
+    CHUNK_ROWS,
     BasisSpec,
     apply_basis,
     build_basis_matrix,
@@ -179,24 +180,40 @@ def _score(
     )
 
 
-def _linear_fit(ds: CliDataset, spec: BasisSpec, basis: np.ndarray):
-    """LS-fit ``spec``'s ``basis`` on the training rows; estimate the test rows."""
+def _basis_rows(ds: CliDataset, spec: BasisSpec, start: int, stop: int):
+    """Basis rows ``start:stop``, built ``CHUNK_ROWS`` rows at a time from ``ds.tx``."""
+    for a in range(start, stop, CHUNK_ROWS):
+        b = min(a + CHUNK_ROWS, stop)
+        yield build_basis_matrix(ds.tx[:, a : b + spec.depth - 1], spec)
+
+
+def _linear_fit(ds: CliDataset, spec: BasisSpec, basis: np.ndarray | None = None):
+    """LS-fit ``spec``'s basis on the training rows; estimate the test rows.
+
+    Without a prebuilt ``basis`` the rows are built block by block, so the
+    fit holds one block of the basis at a time, never all of it.
+    """
     labels, split_row = _aligned_labels(ds)
-    coeffs = ls_fit(basis[:split_row], labels[:, :split_row], spec)
-    return coeffs, apply_basis(coeffs, basis[split_row:])
+    if basis is None:
+        train = _basis_rows(ds, spec, 0, split_row)
+        test = _basis_rows(ds, spec, split_row, labels.shape[1])
+    else:
+        train, test = basis[:split_row], [basis[split_row:]]
+    coeffs = ls_fit(train, labels[:, :split_row], spec)
+    return coeffs, np.hstack([apply_basis(coeffs, block) for block in test])
 
 
 def run_tc(ds: CliDataset) -> CancellerResult:
     """Fit and score the linear (CSI-style) canceller."""
     spec = BasisSpec.linear(ds.n_tx, ds.window_depth)
-    coeffs, s_hat = _linear_fit(ds, spec, build_basis_matrix(ds.tx, spec))
+    coeffs, s_hat = _linear_fit(ds, spec)
     return _score("tc", ds, None, s_hat, artifacts={"coefficients": coeffs})
 
 
 def run_pc(ds: CliDataset, order: int = 3) -> CancellerResult:
     """Fit and score the polynomial canceller of the given odd order."""
     spec = BasisSpec(n_tx=ds.n_tx, depth=ds.window_depth, order=order)
-    coeffs, s_hat = _linear_fit(ds, spec, build_basis_matrix(ds.tx, spec))
+    coeffs, s_hat = _linear_fit(ds, spec)
     return _score("pc", ds, order, s_hat, artifacts={"coefficients": coeffs})
 
 
@@ -245,7 +262,11 @@ def _fit_network(
         shuffle_seed=_train_seed(ds, canceller, cfg, "shuffle"),
     )
     s_test = labels[:, split_row:]
-    pred = forward(fit.model, x[split_row:]) * scale
+    # EVAL_ROWS rows per call, so no (rows x n_hidden) array spans the test set.
+    pred = np.vstack(
+        [forward(fit.model, x[a : a + EVAL_ROWS]) for a in range(split_row, len(x), EVAL_ROWS)]
+    )
+    pred *= scale
     signal_power = float(np.sum(np.abs(s_test) ** 2))
     denom = np.asarray(fit.test_losses) * s_test.shape[1] * scale**2
     with np.errstate(divide="ignore"):
@@ -267,12 +288,14 @@ def _fit_network(
 def run_nnc(ds: CliDataset, n_hidden: int, cfg: TrainSettings) -> CancellerResult:
     """Train and score the network canceller."""
     labels, _ = _aligned_labels(ds)
+    x = build_regressors(ds.tx, ds.window_depth)
+    x /= ds.input_scale
     return _fit_network(
         ds,
         "nnc",
         n_hidden,
         cfg,
-        build_regressors(ds.tx, ds.window_depth) / ds.input_scale,
+        x,
         labels,
         ds.label_scale,
         0.0,

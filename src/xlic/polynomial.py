@@ -13,10 +13,24 @@ identification drives the residual to numerical zero.
 The traditional (CSI-only) canceller is the restriction to the
 ``(p=1, q=1)`` terms, i.e. plain multichannel FIR identification.
 
-Coefficients are estimated with an SVD-based least-squares solve (the
-monomial columns are strongly correlated; normal equations would square
-an already large condition number), one shared factorization for all rx
-antennas.
+Coefficients are estimated from the normal equations, one shared
+factorization for all rx antennas. ``G = sum blk^H blk`` and
+``r = sum blk^H y`` are accumulated over ``CHUNK_ROWS``-row blocks, so a fit
+holds two blocks at most (the one summed and the next being built) and one
+Gram, whatever the number of rows. ``G`` is scaled
+to unit diagonal and factored by Cholesky. The scaling is what makes the
+normal equations usable here: the unscaled P=7 columns of the default
+47 dBm data span many decades of power, and an SVD ``lstsq`` on them judged
+the basis rank deficient on 8 of seeds 1-10. Scaled, the P=7 Gram's
+2-norm condition on those seeds is 3.4e9-5.9e9 (P=3: 1.8e6-5.8e6), 170x
+below ``MAX_CONDITION``, and pc's C_dB agrees with the SVD fit within
+2e-6 dB at every order where that fit succeeds. On the noiseless P=3
+chain (acceptance criterion 2) the relative LS residual is 1.2e-13.
+Measured on a 2-CPU Xeon host with one BLAS thread: at P=7 (40,000
+training rows) ``run_pc`` takes 2.6-3.3 s against 8.0-9.6 s for
+``lstsq``, with 47 MB blocks instead of the 576 MB basis, and one
+4,096 x 720 block's Gram takes 0.22 s as a real ``A^T A`` against 0.42 s
+for ``blk.conj().T @ blk``.
 """
 
 from __future__ import annotations
@@ -29,10 +43,16 @@ import numpy as np
 from . import container
 
 COEFFS_KIND = "poly-coeffs"
+# Rows per block of the Gram accumulation and of the blocks harness builds.
+CHUNK_ROWS = 4096
+# Largest 2-norm condition of the unit-diagonal Gram that ls_fit solves.
+# The solve's relative error grows as condition * 2.2e-16, so at this limit
+# the weights keep about 4 significant digits.
+MAX_CONDITION = 1e12
 
 
 class SingularBasisError(np.linalg.LinAlgError):
-    """Basis matrix is rank deficient; message carries a condition estimate."""
+    """Basis is numerically singular; message carries the condition estimate."""
 
 
 def basis_term(x, p: int, q: int):
@@ -132,33 +152,61 @@ def build_basis_matrix(tx: np.ndarray, spec: BasisSpec) -> np.ndarray:
 
 
 def ls_fit(
-    basis: np.ndarray,
+    basis,
     labels: np.ndarray,
     spec: BasisSpec,
 ) -> PolyCoefficients:
     """Least-squares coefficient estimate, all rx antennas in one solve.
 
-    ``labels`` has shape ``(n_rx, n_rows)``. Requires more rows than
-    columns and a full-rank basis; rank deficiency raises
-    :class:`SingularBasisError` with a condition estimate.
+    ``basis`` is the basis matrix or an iterable of its consecutive row
+    blocks; a matrix is read in ``CHUNK_ROWS``-row slices, so blocks of
+    that size give the same bits. ``labels`` has shape ``(n_rx, n_rows)``.
+    Requires at least as many rows as columns. A basis whose unit-diagonal
+    Gram has a condition estimate above ``MAX_CONDITION``, or fails its
+    Cholesky factorization, raises :class:`SingularBasisError` with the
+    estimate.
     """
-    basis = np.asarray(basis)
+    blocks = basis
+    if isinstance(basis, np.ndarray):
+        blocks = (basis[a : a + CHUNK_ROWS] for a in range(0, basis.shape[0], CHUNK_ROWS))
     labels = np.atleast_2d(np.asarray(labels, dtype=np.complex128))
-    if labels.shape[1] != basis.shape[0]:
-        raise ValueError(
-            f"labels have {labels.shape[1]} rows, basis has {basis.shape[0]}"
-        )
-    if basis.shape[0] < basis.shape[1]:
-        raise ValueError(
-            f"underdetermined fit: {basis.shape[0]} rows < {basis.shape[1]} columns"
-        )
-    solution, _, rank, sv = np.linalg.lstsq(basis, labels.T, rcond=None)
-    if rank < basis.shape[1]:
-        cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
+    gram = np.zeros((spec.n_terms, spec.n_terms), dtype=np.complex128)
+    rhs = np.zeros((labels.shape[0], spec.n_terms), dtype=np.complex128)
+    rows = 0
+    for block in blocks:
+        y = labels[:, rows : rows + block.shape[0]]
+        rows += block.shape[0]
+        if y.shape[1] < block.shape[0]:
+            raise ValueError(f"labels have {labels.shape[1]} rows, basis has more")
+        # block^H block by one real A^T A (BLAS dsyrk): in the float64 view the
+        # columns are (re, im) pairs, and the Gram's parts are sums of 2x2 sub-blocks.
+        re = np.ascontiguousarray(block, dtype=np.complex128).view(np.float64)
+        h = re.T @ re
+        gram += h[0::2, 0::2] + h[1::2, 1::2] + 1j * (h[0::2, 1::2] - h[1::2, 0::2])
+        rhs += y.conj() @ block  # (block^H y)^H, accumulated conjugated
+    if rows < labels.shape[1]:
+        raise ValueError(f"labels have {labels.shape[1]} rows, basis has {rows}")
+    if rows < spec.n_terms:
+        raise ValueError(f"underdetermined fit: {rows} rows < {spec.n_terms} columns")
+    scale = np.sqrt(gram.diagonal().real)
+    cond = np.inf
+    if np.all(scale > 0):
+        scaled = gram / np.outer(scale, scale)
+        eig = np.linalg.eigvalsh(scaled)
+        if eig[0] > 0:
+            cond = eig[-1] / eig[0]
+    try:
+        if cond > MAX_CONDITION:
+            raise np.linalg.LinAlgError
+        chol = np.linalg.cholesky(scaled)
+    except np.linalg.LinAlgError:
         raise SingularBasisError(
-            f"basis is rank deficient ({rank}/{basis.shape[1]}); "
-            f"condition estimate {cond:.3e}"
-        )
+            f"basis is singular: scaled condition estimate {cond:.3e} "
+            f"(limit {MAX_CONDITION:.0e})"
+        ) from None
+    # NumPy has no triangular solver; its LU solve handles each factor.
+    half = np.linalg.solve(chol, rhs.conj().T / scale[:, None])
+    solution = np.linalg.solve(chol.conj().T, half) / scale[:, None]
     return PolyCoefficients(basis=spec, weights=solution.T)
 
 

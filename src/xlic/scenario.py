@@ -120,10 +120,6 @@ def generate_dataset(
     depth = scenario.window_depth
     n_transient = depth - 1
     n_raw = scenario.n_samples + n_transient
-    if scenario.n_samples <= depth:
-        raise ValueError(
-            f"n_samples ({scenario.n_samples}) must exceed the window depth ({depth})"
-        )
     split = int(np.floor(scenario.train_fraction * scenario.n_samples))
     if not (depth <= split < scenario.n_samples):
         raise ConfigError(

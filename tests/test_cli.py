@@ -131,6 +131,8 @@ class TestGenerate:
             ("scenario", "pa", {"order": 2}),
             # split 2 on 2500 samples leaves no training row once the depth-5 line is full
             ("scenario", "train_fraction", 0.001),
+            # no more samples than the depth-5 delay line holds
+            ("scenario", "n_samples", 5),
         ],
     )
     def test_bad_value_rejected_at_load(self, tmp_path, capsys, section, field, value):

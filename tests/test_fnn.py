@@ -1,5 +1,7 @@
 """Tests for the feedforward network: forward, gradients, Adam, training."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -336,6 +338,21 @@ class TestTrain:
         assert fit.train_losses == losses
         for a, b in zip(trained.params(), model.params()):
             assert_array_equal(a, b)
+
+    def test_no_shuffled_copy_of_the_training_set(self, rng):
+        # each batch is gathered by the shuffled order; test_train_is_the_tested_step
+        # checks that this is the same arithmetic
+        x = rng.standard_normal((20000, 40))
+        y = rng.standard_normal((20000, 2))
+        model = FnnModel.initialize(40, 8, 2, seed=1)
+        cfg = TrainSettings(epochs=2, batch_size=256, learning_rate=1e-3)
+        tracemalloc.start()
+        try:
+            train(model, x, y, x[:100], y[:100], cfg, shuffle_seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes / 4
 
     def test_chunked_losses_equal_whole_batch_loss(self, rng):
         # 2,100 training rows end in a 52-row chunk, 4,101 test rows in a

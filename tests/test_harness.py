@@ -1,5 +1,7 @@
 """Tests for the canceller harness: metric, runners, counts and sweeps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,6 +12,7 @@ from conftest import ideal_rf, small_scenario
 from xlic import harness
 from xlic import (
     BasisSpec,
+    ScenarioSettings,
     TrainSettings,
     build_basis_matrix,
     cancellation_db,
@@ -30,7 +33,7 @@ from xlic import (
 )
 from xlic.config import ConfigError
 from xlic.harness import _aligned_labels, deinterleave_iq, interleave_iq
-from xlic.polynomial import apply_basis
+from xlic.polynomial import CHUNK_ROWS, apply_basis
 
 FAST_TRAIN = TrainSettings(epochs=4, learning_rate=1e-3)
 
@@ -38,6 +41,12 @@ FAST_TRAIN = TrainSettings(epochs=4, learning_rate=1e-3)
 @pytest.fixture(scope="module")
 def small_ds():
     return generate_dataset(small_scenario(), seed=31)
+
+
+@pytest.fixture(scope="module")
+def long_ds():
+    # more training rows than one CHUNK_ROWS block
+    return generate_dataset(small_scenario(n_samples=3 * CHUNK_ROWS), seed=34)
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +186,41 @@ class TestRunners:
         run_hc(small_ds, 8, TrainSettings(epochs=1, learning_rate=1e-3))
         assert calls == ["build_basis_matrix"]
 
+    def test_pc_builds_the_basis_in_blocks(self, long_ds, monkeypatch):
+        # no full basis: each build sees at most one block's delay lines
+        lengths = []
+
+        def counted(tx, spec, _original=harness.build_basis_matrix):
+            lengths.append(tx.shape[1])
+            return _original(tx, spec)
+
+        monkeypatch.setattr(harness, "build_basis_matrix", counted)
+        run_pc(long_ds, order=3)
+        depth = long_ds.window_depth
+        assert len(lengths) > 2
+        assert max(lengths) <= CHUNK_ROWS + depth - 1
+        assert sum(n - depth + 1 for n in lengths) == long_ds.n_samples - depth + 1
+
+    @pytest.mark.parametrize("canceller", ["nnc", "hc"])
+    def test_network_holds_one_copy_of_the_windows(self, long_ds, canceller):
+        # windows scaled in place, batches gathered by index, test rows
+        # predicted in chunks: no second windows-sized array is ever live
+        windows = long_ds.n_samples * 2 * long_ds.n_tx * long_ds.window_depth * 8
+        tracemalloc.start()
+        try:
+            run_canceller(long_ds, canceller, n_hidden=16, train_cfg=TrainSettings(epochs=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * windows
+
+    def test_pc_order_7_is_not_rank_deficient(self):
+        # an unscaled SVD lstsq judged this P=7 basis rank deficient (719/720)
+        ds = generate_dataset(ScenarioSettings(), seed=7)
+        p7 = run_pc(ds, order=7).c_db
+        assert np.isfinite(p7)
+        assert p7 >= run_pc(ds, order=1).c_db
+
     def test_unknown_canceller_rejected(self, small_ds):
         with pytest.raises(ValueError, match="unknown canceller"):
             run_canceller(small_ds, "zzz")
@@ -244,6 +288,13 @@ class TestSweep:
         assert counts(counted) == counts(scored)
         assert all(r.c_db is None for r in counted)
         assert all(np.isfinite(r.c_db) for r in scored)
+
+    def test_order_axis_rows_equal_run_pc_bit_for_bit(self, long_ds):
+        for row in sweep(long_ds, "P", [1, 3, 5], with_performance=True):
+            alone = run_pc(long_ds, order=row.setting)
+            assert np.float64(row.c_db).tobytes() == np.float64(alone.c_db).tobytes()
+            weights = row.artifacts["coefficients"].weights
+            assert weights.tobytes() == alone.artifacts["coefficients"].weights.tobytes()
 
     def test_order_axis_with_performance(self, small_ds):
         rows = sweep(small_ds, "P", [1, 3], with_performance=True)

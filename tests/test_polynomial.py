@@ -19,7 +19,7 @@ from xlic import (
     tc_complexity,
     tc_param_count,
 )
-from xlic.polynomial import SingularBasisError, apply_basis
+from xlic.polynomial import CHUNK_ROWS, SingularBasisError, apply_basis
 
 
 class TestBasisTerm:
@@ -133,6 +133,39 @@ class TestLsFit:
         basis = build_basis_matrix(tx, spec)
         with pytest.raises(SingularBasisError, match="condition"):
             ls_fit(basis, np.zeros((1, basis.shape[0]), dtype=complex), spec)
+
+    @pytest.mark.parametrize("factor", [1.0, 3.0])
+    def test_dependent_column_reported_with_condition(self, rng, factor):
+        # one column equal to, or three times, another
+        spec = BasisSpec.linear(1, 3)
+        basis = rng.standard_normal((200, 3)) + 1j * rng.standard_normal((200, 3))
+        basis[:, 2] = factor * basis[:, 0]
+        labels = rng.standard_normal((1, 200)) + 0j
+        with pytest.raises(SingularBasisError, match="condition estimate"):
+            ls_fit(basis, labels, spec)
+
+    def test_row_blocks_equal_matrix_bit_for_bit(self, rng):
+        spec = BasisSpec(n_tx=2, depth=3, order=3)
+        n = 2 * CHUNK_ROWS + 500
+        tx = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        basis = build_basis_matrix(tx, spec)
+        labels = rng.standard_normal((2, basis.shape[0])) + 1j * rng.standard_normal(
+            (2, basis.shape[0])
+        )
+        blocks = (
+            build_basis_matrix(tx[:, a : a + CHUNK_ROWS + spec.depth - 1], spec)
+            for a in range(0, basis.shape[0], CHUNK_ROWS)
+        )
+        from_blocks = ls_fit(blocks, labels, spec).weights
+        assert from_blocks.tobytes() == ls_fit(basis, labels, spec).weights.tobytes()
+
+    def test_row_count_mismatch_rejected(self, rng):
+        spec = BasisSpec.linear(1, 2)
+        tx = rng.standard_normal((1, 100)) + 1j * rng.standard_normal((1, 100))
+        basis = build_basis_matrix(tx, spec)
+        for n_labels in (basis.shape[0] - 1, basis.shape[0] + 1):
+            with pytest.raises(ValueError, match="labels have"):
+                ls_fit(basis, np.zeros((1, n_labels), dtype=complex), spec)
 
     def test_residual_orthogonal_to_column_space(self, rng):
         spec = BasisSpec(n_tx=1, depth=2, order=3)

@@ -14,6 +14,7 @@ from xlic import (
     load_dataset,
     save_dataset,
 )
+from xlic.config import ConfigError
 from xlic.container import ContainerChecksumError
 
 
@@ -86,9 +87,9 @@ class TestGenerateDataset:
             assert ds.rx[0, n] == pytest.approx(np.dot(eff, window), rel=1e-10)
 
     def test_config_inconsistency_rejected(self):
-        sc = small_scenario(n_samples=5)
-        with pytest.raises(ValueError, match="window depth"):
-            generate_dataset(sc, seed=1)
+        # checked when the settings are made, before any generation
+        with pytest.raises(ConfigError, match="scenario.n_samples: .*window depth"):
+            small_scenario(n_samples=5)
 
     def test_injected_channel_shape_checked(self):
         sc = small_scenario()
