@@ -8,10 +8,7 @@ feedforward network (nnc) and hybrid linear-plus-network (hc).
 """
 
 from .channel import (
-    AdcConfig,
     MultipathChannel,
-    NoiseModel,
-    PathLossModel,
     add_awgn,
     calibrate_channel_gain,
     dbm_to_watts,

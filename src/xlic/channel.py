@@ -2,10 +2,9 @@
 
 The channel between the interfering and the interfered base station is a
 bank of FIR filters, one per (rx, tx) antenna pair, with Rayleigh
-(circularly-symmetric complex Gaussian) taps and optional path-loss
-scaling. The receive side adds AWGN at a configured power and quantizes
-each rail with a mid-rise ADC. Power values are in dBm throughout, with
-the linear unit treated as watts.
+(circularly-symmetric complex Gaussian) taps. The receive side adds AWGN
+at a configured power and quantizes each rail with a mid-rise ADC. Power
+values are in dBm throughout, with the linear unit treated as watts.
 """
 
 from __future__ import annotations
@@ -13,55 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class PathLossModel:
-    """Deterministic large-scale scaling ``distance**(-exponent/2)`` of every tap.
-
-    ``distance`` is in meters and shared by all paths.
-    """
-
-    distance: float = 1.0
-    exponent: float = 0.0
-
-    def __post_init__(self):
-        if self.distance <= 0:
-            raise ValueError("path distance must be > 0")
-        if self.exponent < 0:
-            raise ValueError("path-loss exponent must be >= 0")
-
-    def amplitude_scale(self, n_paths: int) -> np.ndarray:
-        return np.full(n_paths, float(self.distance)) ** (-self.exponent / 2.0)
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """AWGN at a fixed total power in dBm; ``-inf`` disables the noise."""
-
-    power_dbm: float = -90.0
-
-    def __post_init__(self):
-        if np.isnan(self.power_dbm) or self.power_dbm == np.inf:
-            raise ValueError("noise power must be finite or -inf")
-
-
-@dataclass(frozen=True)
-class AdcConfig:
-    """Uniform mid-rise quantizer: ``2**bits`` levels over +/- full_scale."""
-
-    bits: int = 12
-    full_scale: float = 1.0
-
-    def __post_init__(self):
-        if self.bits < 1:
-            raise ValueError(f"ADC bits must be >= 1, got {self.bits}")
-        if not (self.full_scale > 0):
-            raise ValueError(f"ADC full_scale must be > 0, got {self.full_scale}")
-
-    @property
-    def step(self) -> float:
-        return 2.0 * self.full_scale / (2**self.bits)
 
 
 @dataclass(frozen=True)
@@ -109,14 +59,8 @@ def measure_power_dbm(x: np.ndarray) -> float:
     return watts_to_dbm(float(np.mean(np.abs(x) ** 2)))
 
 
-def draw_channel(
-    seed,
-    n_rx: int,
-    n_tx: int,
-    n_paths: int,
-    pathloss: PathLossModel | None = None,
-) -> MultipathChannel:
-    """Draw i.i.d. Rayleigh taps ``CN(0, 1)`` scaled by the path-loss model.
+def draw_channel(seed, n_rx: int, n_tx: int, n_paths: int) -> MultipathChannel:
+    """Draw i.i.d. Rayleigh taps ``CN(0, 1)``.
 
     ``seed`` may be an int or a ``numpy.random.Generator``; an int gives a
     reproducible draw.
@@ -130,8 +74,7 @@ def draw_channel(
         rng.standard_normal((n_rx, n_tx, n_paths))
         + 1j * rng.standard_normal((n_rx, n_tx, n_paths))
     ) / np.sqrt(2.0)
-    scale = (pathloss or PathLossModel()).amplitude_scale(n_paths)
-    return MultipathChannel(fading * scale)
+    return MultipathChannel(fading)
 
 
 def propagate(tx: np.ndarray, channel: MultipathChannel) -> np.ndarray:
@@ -153,27 +96,33 @@ def propagate(tx: np.ndarray, channel: MultipathChannel) -> np.ndarray:
     return rx
 
 
-def add_awgn(x: np.ndarray, noise: NoiseModel, seed) -> np.ndarray:
-    """Add circularly-symmetric complex AWGN with the configured total power."""
+def add_awgn(x: np.ndarray, power_dbm: float, seed) -> np.ndarray:
+    """Add circularly-symmetric complex AWGN of total power ``power_dbm``.
+
+    ``-inf`` adds no noise and returns a copy of ``x``.
+    """
     x = np.asarray(x, dtype=np.complex128)
-    if noise.power_dbm == -np.inf:
+    if power_dbm == -np.inf:
         return x.copy()
     rng = np.random.default_rng(seed)
-    sigma = np.sqrt(dbm_to_watts(noise.power_dbm) / 2.0)
+    sigma = np.sqrt(dbm_to_watts(power_dbm) / 2.0)
     w = sigma * (rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape))
     return x + w
 
 
-def quantize_adc(x: np.ndarray, adc: AdcConfig) -> np.ndarray:
+def quantize_adc(x: np.ndarray, bits: int, full_scale: float) -> np.ndarray:
     """Quantize I and Q rails with a uniform mid-rise quantizer.
 
-    Levels sit at odd multiples of ``step/2`` inside +/- full_scale;
-    inputs beyond full scale saturate at the outermost level. There is no
-    zero level: a zero input lands on ``+step/2`` on each rail.
+    ``2**bits`` levels at odd multiples of ``step/2 = full_scale / 2**bits``
+    inside +/- full_scale; inputs beyond full scale saturate at the
+    outermost level. There is no zero level: a zero input lands on
+    ``+step/2`` on each rail.
     """
+    if not (full_scale > 0):
+        raise ValueError(f"ADC full_scale must be > 0, got {full_scale}")
     x = np.asarray(x, dtype=np.complex128)
-    step = adc.step
-    top = adc.full_scale - step / 2.0
+    step = 2.0 * full_scale / (2**bits)
+    top = full_scale - step / 2.0
 
     def rail(u):
         q = (np.floor(u / step) + 0.5) * step

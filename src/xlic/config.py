@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import PathLossModel
 from .rf_chain import IqImbalance, PaModel
 from .waveform import OfdmConfig
 
@@ -65,18 +64,6 @@ def derive_rng(root_seed: int, *labels) -> np.random.Generator:
     for label in labels:
         keys.append(label if isinstance(label, int) else zlib.crc32(str(label).encode()))
     return np.random.default_rng(np.random.SeedSequence(keys))
-
-
-@dataclass
-class IqSettings:
-    gain: float = 1.05
-    phase_rad: float = 0.05
-
-    def __post_init__(self):
-        self.build()  # the model's own checks, at load
-
-    def build(self) -> IqImbalance:
-        return IqImbalance(gain=self.gain, phase_rad=self.phase_rad)
 
 
 @dataclass
@@ -126,7 +113,7 @@ class ScenarioSettings:
     # signal ratio is independent of the absolute transmit level.
     pa_taps_at_unit_power: bool = True
     # Single entry shared by all antennas, or one entry per tx antenna.
-    iq: IqSettings | list = field(default_factory=IqSettings)
+    iq: IqImbalance | list = field(default_factory=IqImbalance)
     pa: PaSettings | list = field(default_factory=PaSettings)
     ofdm: OfdmConfig = field(default_factory=OfdmConfig)
 
@@ -149,34 +136,42 @@ class ScenarioSettings:
                 f"scenario.n_samples: {self.n_samples} must exceed the window depth "
                 f"({self.window_depth})"
             )
+        if not (self.window_depth <= self.split_index < self.n_samples):
+            raise ConfigError(
+                f"scenario.train_fraction: {self.train_fraction} leaves an empty "
+                f"train or test partition (split {self.split_index}, "
+                f"window depth {self.window_depth})"
+            )
 
     def _per_antenna(self, name: str) -> list:
-        """The built ``iq`` or ``pa`` model of each tx antenna; one entry is shared."""
+        """The ``iq`` or ``pa`` entry of each tx antenna; one entry is shared."""
         items = getattr(self, name)
         items = items if isinstance(items, list) else [items] * self.n_tx
         if len(items) != self.n_tx:
             raise ConfigError(
                 f"scenario.{name}: expected 1 or {self.n_tx} entries, got {len(items)}"
             )
-        return [item.build() for item in items]
+        return items
 
     def iq_models(self) -> list[IqImbalance]:
         return self._per_antenna("iq")
 
     def pa_models(self) -> list[PaModel]:
-        models = self._per_antenna("pa")
+        models = [pa.build() for pa in self._per_antenna("pa")]
         if self.pa_taps_at_unit_power:
             drive_rms = np.sqrt(10.0 ** ((self.tx_power_dbm - 30.0) / 10.0))
             models = [_rescale_pa(m, drive_rms) for m in models]
         return models
 
-    def pathloss(self) -> PathLossModel:
-        return PathLossModel(self.pathloss_distance_m, self.pathloss_exponent)
-
     @property
     def window_depth(self) -> int:
         """Regressor depth: the largest PA memory plus the multipath count."""
         return max(pa.memory for pa in self._per_antenna("pa")) + self.n_paths
+
+    @property
+    def split_index(self) -> int:
+        """First test sample: ``floor(train_fraction * n_samples)``."""
+        return int(np.floor(self.train_fraction * self.n_samples))
 
 
 @dataclass
@@ -313,7 +308,7 @@ def _build(cls, data, where: str):
             continue
         value = data.pop(f.name)
         if f.name in ("iq", "pa"):
-            sub = IqSettings if f.name == "iq" else PaSettings
+            sub = IqImbalance if f.name == "iq" else PaSettings
             if isinstance(value, list) and value:
                 value = [_build(sub, v, f"{where}.{f.name}[{i}]") for i, v in enumerate(value)]
             else:

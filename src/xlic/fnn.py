@@ -118,18 +118,16 @@ class Gradients(_Params):
 
 
 def forward(model: FnnModel, x: np.ndarray) -> np.ndarray:
-    """Evaluate the network on one input vector or a batch of rows."""
+    """Evaluate the network on a batch of rows, shape ``(batch, n_in)``."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    x2 = np.atleast_2d(x)
-    if x2.shape[1] != model.n_in:
-        raise ValueError(f"input width {x2.shape[1]}, model expects {model.n_in}")
-    hidden = x2 @ model.w_hidden.T
+    if x.ndim != 2 or x.shape[1] != model.n_in:
+        raise ValueError(f"input shape {x.shape}, model expects rows of width {model.n_in}")
+    hidden = x @ model.w_hidden.T
     hidden += model.b_hidden
     np.maximum(hidden, 0.0, out=hidden)
     out = hidden @ model.w_out.T
     out += model.b_out
-    return out[0] if single else out
+    return out
 
 
 def loss_mse(pred: np.ndarray, target: np.ndarray) -> float:

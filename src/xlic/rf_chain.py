@@ -25,13 +25,15 @@ class IqImbalance:
     phase_rad : float
         Phase imbalance in radians (0.0 = balanced).
 
+    The defaults are the reference scenario's mixer (gain 1.05, phase 0.05).
+
     The mixer output is ``direct_gain * x + image_gain * conj(x)`` with
     ``direct_gain = (1 + gain*exp(j*phase)) / 2`` and
     ``image_gain = (1 - gain*exp(j*phase)) / 2``; the two always sum to 1.
     """
 
-    gain: float = 1.0
-    phase_rad: float = 0.0
+    gain: float = 1.05
+    phase_rad: float = 0.05
 
     def __post_init__(self):
         if not (np.isfinite(self.gain) and np.isfinite(self.phase_rad)):
@@ -87,11 +89,6 @@ class PaModel:
         if not np.all(np.isfinite(taps)):
             raise ValueError("PA taps must be finite")
         object.__setattr__(self, "taps", taps)
-
-    @classmethod
-    def identity(cls) -> "PaModel":
-        """Memoryless unit-gain PA (order 1, single tap 1.0)."""
-        return cls(order=1, memory=0, taps=np.ones((1, 1)))
 
     @property
     def branch_orders(self) -> tuple[int, ...]:

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import container
 from .channel import draw_channel, propagate, add_awgn, quantize_adc, calibrate_channel_gain
-from .channel import AdcConfig, MultipathChannel, NoiseModel
-from .config import ConfigError, ScenarioSettings, _is_int, _is_number, derive_rng
+from .channel import MultipathChannel
+from .config import ScenarioSettings, _is_int, _is_number, derive_rng
 from .polynomial import BasisSpec, build_basis_matrix
 from .rf_chain import transmit_chain
 from .waveform import generate_ofdm
@@ -115,17 +115,13 @@ def generate_dataset(
     Deterministic given ``seed``. ``channel`` overrides the random draw
     (used for controlled tests and ablations); when provided it is still
     calibrated to the target received power unless calibration is
-    disabled.
+    disabled. A drawn channel is scaled by the path loss
+    ``pathloss_distance_m ** (-pathloss_exponent / 2)``; an injected one is not.
     """
     depth = scenario.window_depth
     n_transient = depth - 1
     n_raw = scenario.n_samples + n_transient
-    split = int(np.floor(scenario.train_fraction * scenario.n_samples))
-    if not (depth <= split < scenario.n_samples):
-        raise ConfigError(
-            f"scenario.train_fraction: {scenario.train_fraction} leaves an empty "
-            f"train or test partition (split {split}, window depth {depth})"
-        )
+    split = scenario.split_index
 
     tx = generate_ofdm(
         scenario.ofdm,
@@ -137,13 +133,15 @@ def generate_dataset(
     amplified = transmit_chain(tx, scenario.iq_models(), scenario.pa_models())
 
     if channel is None:
-        channel = draw_channel(
+        drawn = draw_channel(
             derive_rng(seed, "channel"),
             scenario.n_rx,
             scenario.n_tx,
             scenario.n_paths,
-            scenario.pathloss(),
         )
+        # np.power, not float **: the ufunc's rounding is the one datasets were made with
+        pathloss = np.power(scenario.pathloss_distance_m, -scenario.pathloss_exponent / 2.0)
+        channel = MultipathChannel(drawn.taps * pathloss)
     elif (channel.n_rx, channel.n_tx) != (scenario.n_rx, scenario.n_tx):
         raise ValueError(
             f"injected channel is {channel.n_rx}x{channel.n_tx}, "
@@ -157,15 +155,18 @@ def generate_dataset(
         channel, channel_scale = calibrate_channel_gain(channel, amplified, target)
 
     rx = propagate(amplified, channel)
-    noise = NoiseModel(scenario.awgn_power_dbm if scenario.noise_enabled else -np.inf)
-    rx = add_awgn(rx, noise, derive_rng(seed, "noise"))
+    rx = add_awgn(
+        rx,
+        scenario.awgn_power_dbm if scenario.noise_enabled else -np.inf,
+        derive_rng(seed, "noise"),
+    )
 
     full_scale = scenario.adc_full_scale
     if scenario.adc_enabled:
         if full_scale is None:
             peak = max(np.abs(rx.real).max(), np.abs(rx.imag).max())
             full_scale = scenario.adc_headroom * float(peak)
-        rx = quantize_adc(rx, AdcConfig(bits=scenario.adc_bits, full_scale=full_scale))
+        rx = quantize_adc(rx, scenario.adc_bits, full_scale)
 
     tx = tx[:, n_transient:]
     rx = rx[:, n_transient:]

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from xlic import ScenarioSettings
-from xlic.config import IqSettings, OfdmSettings, PaSettings
+from xlic import IqImbalance, ScenarioSettings
+from xlic.config import OfdmSettings, PaSettings
 
 
 @pytest.fixture
@@ -31,7 +31,7 @@ def small_scenario(**overrides) -> ScenarioSettings:
 def ideal_rf(**overrides) -> ScenarioSettings:
     """Distortion-free chain: balanced mixer, unit memoryless PA."""
     params = dict(
-        iq=IqSettings(gain=1.0, phase_rad=0.0),
+        iq=IqImbalance(gain=1.0, phase_rad=0.0),
         pa=PaSettings(order=1, memory=0, taps=[[[1.0, 0.0]]]),
     )
     params.update(overrides)

@@ -163,15 +163,15 @@ def test_criterion2_polynomial_exactness():
 
 
 def test_criterion3_linear_identification():
-    from xlic import draw_channel
-    from xlic.config import IqSettings, PaSettings, derive_rng
+    from xlic import IqImbalance, draw_channel
+    from xlic.config import PaSettings, derive_rng
     from xlic.harness import run_tc
 
     sc = ScenarioSettings(
         n_samples=20000,
         noise_enabled=False,
         adc_enabled=False,
-        iq=IqSettings(gain=1.0, phase_rad=0.0),
+        iq=IqImbalance(gain=1.0, phase_rad=0.0),
         pa=PaSettings(order=1, memory=0, taps=[[[1.0, 0.0]]]),
     )
     ds = generate_dataset(sc, seed=3)
@@ -179,9 +179,7 @@ def test_criterion3_linear_identification():
     est = res.artifacts["coefficients"].weights.reshape(
         ds.n_rx, ds.n_tx, ds.window_depth
     )
-    drawn = draw_channel(
-        derive_rng(3, "channel"), sc.n_rx, sc.n_tx, sc.n_paths, sc.pathloss()
-    )
+    drawn = draw_channel(derive_rng(3, "channel"), sc.n_rx, sc.n_tx, sc.n_paths)
     true = ds.meta["channel_scale"] * drawn.taps
     rel_err = np.linalg.norm(est - true) / np.linalg.norm(true)
     c_ok = res.above_measurable_range or res.c_db >= 80.0

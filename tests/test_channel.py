@@ -7,10 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from xlic import (
-    AdcConfig,
     MultipathChannel,
-    NoiseModel,
-    PathLossModel,
     add_awgn,
     calibrate_channel_gain,
     dbm_to_watts,
@@ -36,11 +33,6 @@ class TestDrawChannel:
         ch = draw_channel(7, 10, 10, 1000)
         var = np.mean(np.abs(ch.taps) ** 2)
         assert 0.98 <= var <= 1.02
-
-    def test_pathloss_scaling(self):
-        plain = draw_channel(3, 2, 2, 4)
-        scaled = draw_channel(3, 2, 2, 4, PathLossModel(distance=4.0, exponent=2.0))
-        assert_allclose(scaled.taps, plain.taps / 4.0)
 
     def test_invalid_dims_rejected(self):
         with pytest.raises(ValueError):
@@ -83,50 +75,47 @@ class TestPropagate:
 class TestAwgn:
     def test_disabled_noise_returns_input(self, rng):
         x = rng.standard_normal(100) + 0j
-        assert_array_equal(add_awgn(x, NoiseModel(-np.inf), 0), x)
+        assert_array_equal(add_awgn(x, -np.inf, 0), x)
 
     def test_noise_power_calibration(self):
         # measured power of the injected noise within +-0.1 dB over 1e6 samples
         x = np.zeros(1_000_000, dtype=complex)
-        noisy = add_awgn(x, NoiseModel(-90.0), 123)
+        noisy = add_awgn(x, -90.0, 123)
         assert abs(measure_power_dbm(noisy) - (-90.0)) < 0.1
 
     def test_same_seed_identical(self, rng):
         x = rng.standard_normal(50) + 0j
-        assert_array_equal(add_awgn(x, NoiseModel(-80), 7), add_awgn(x, NoiseModel(-80), 7))
+        assert_array_equal(add_awgn(x, -80.0, 7), add_awgn(x, -80.0, 7))
 
 
 class TestAdc:
     def test_zero_lands_on_half_step(self):
-        adc = AdcConfig(bits=12, full_scale=1.0)
-        q = quantize_adc(np.array([0.0 + 0.0j]), adc)
+        q = quantize_adc(np.array([0.0 + 0.0j]), 12, 1.0)
         # mid-rise has no zero level: each rail lands half a step away
         assert abs(q[0].real) == pytest.approx(1.0 / 2**12)
         assert abs(q[0].imag) == pytest.approx(1.0 / 2**12)
 
     def test_saturation(self):
-        adc = AdcConfig(bits=4, full_scale=1.0)
-        q = quantize_adc(np.array([10.0 - 10.0j]), adc)
-        top = 1.0 - adc.step / 2
+        q = quantize_adc(np.array([10.0 - 10.0j]), 4, 1.0)
+        top = 1.0 - 2.0**-4  # full scale less half of the 2/16 step
         assert q[0] == pytest.approx(top - 1j * top)
 
     def test_half_amplitude_error_bound(self):
-        adc = AdcConfig(bits=12, full_scale=1.0)
-        q = quantize_adc(np.array([0.5 + 0.0j]), adc)
+        q = quantize_adc(np.array([0.5 + 0.0j]), 12, 1.0)
         assert abs(q[0].real - 0.5) <= 2.0**-12
 
     @given(st.floats(-0.99, 0.99), st.floats(-0.99, 0.99))
     def test_error_within_half_step_in_range(self, re, im):
-        adc = AdcConfig(bits=8, full_scale=1.0)
-        q = quantize_adc(np.array([re + 1j * im]), adc)[0]
-        assert abs(q.real - re) <= adc.step / 2 + 1e-12
-        assert abs(q.imag - im) <= adc.step / 2 + 1e-12
+        q = quantize_adc(np.array([re + 1j * im]), 8, 1.0)[0]
+        half_step = 2.0**-8
+        assert abs(q.real - re) <= half_step + 1e-12
+        assert abs(q.imag - im) <= half_step + 1e-12
 
     def test_rejects_bad_config(self):
-        with pytest.raises(ValueError):
-            AdcConfig(bits=0, full_scale=1.0)
-        with pytest.raises(ValueError):
-            AdcConfig(bits=8, full_scale=0.0)
+        # a derived full scale can be 0 (a silent capture); bits are checked at load
+        for full_scale in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="full_scale must be > 0"):
+                quantize_adc(np.ones(3, dtype=complex), 8, full_scale)
 
 
 class TestPower:

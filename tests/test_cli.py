@@ -149,6 +149,20 @@ class TestGenerate:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_empty_partition_rejected_at_load_by_every_command(self, tmp_path, capsys):
+        ds, results = tmp_path / "ds.bin", str(tmp_path / "results.csv")
+        assert run_cli("generate", "--config", small_config(tmp_path), "--out", str(ds)) == 0
+        bad = small_config(tmp_path, train_fraction=0.001)
+        for argv in (
+            ["run", "--canceller", "tc"],
+            ["sweep", "--axis", "P", "--values", "1", "--no-train"],
+        ):
+            capsys.readouterr()
+            assert run_cli(*argv, "--config", bad, "--dataset", str(ds), "--out", results) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ConfigError: scenario.train_fraction: ")
+            assert not os.path.exists(results)
+
     @pytest.mark.parametrize(
         "pa, where",
         [
@@ -179,6 +193,20 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: ConfigError: {where}")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_silent_capture_has_no_adc_full_scale(self, tmp_path, capsys):
+        # a zero PA, no calibration and no noise: the derived full scale is 0
+        out = tmp_path / "ds.bin"
+        cfg = small_config(
+            tmp_path,
+            target_rx_power_dbm=None,
+            noise_enabled=False,
+            pa={"order": 1, "memory": 0, "taps": [[[0, 0]]]},
+        )
+        assert run_cli("generate", "--config", cfg, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == "error: ValueError: ADC full_scale must be > 0, got 0.0\n"
         assert not out.exists()
 
     def test_per_antenna_impairment_lists(self, tmp_path):

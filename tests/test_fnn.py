@@ -86,36 +86,40 @@ class TestFlatParameters:
 class TestForward:
     def test_all_zero_weights_return_bias(self):
         model = FnnModel(np.zeros((3, 2)), np.zeros(3), np.zeros((2, 3)), np.array([1.5, -0.5]))
-        assert_allclose(forward(model, np.array([7.0, -2.0])), [1.5, -0.5])
+        assert_allclose(forward(model, np.array([[7.0, -2.0]])), [[1.5, -0.5]])
 
     def test_relu_kills_negative_preactivation(self):
         model = FnnModel(np.array([[1.0]]), np.zeros(1), np.array([[2.0]]), np.zeros(1))
-        assert forward(model, np.array([-3.0]))[0] == 0.0
+        assert forward(model, np.array([[-3.0]]))[0, 0] == 0.0
 
     def test_matches_straight_line_oracle(self, rng):
         model = tiny_model(rng)
-        for _ in range(5):
-            x = rng.standard_normal(4)
-            assert_allclose(forward(model, x), forward_oracle(model, x), atol=1e-12)
+        x = rng.standard_normal((5, 4))
+        out = forward(model, x)
+        for i in range(5):
+            assert_allclose(out[i], forward_oracle(model, x[i]), atol=1e-12)
 
     def test_batch_rows_match_single_vectors(self, rng):
         model = tiny_model(rng)
         xb = rng.standard_normal((6, 4))
         out = forward(model, xb)
         for i in range(6):
-            assert_allclose(out[i], forward(model, xb[i]))
+            assert_allclose(out[i], forward(model, xb[i : i + 1])[0])
 
     def test_positively_homogeneous_in_output_layer(self, rng):
         model = tiny_model(rng)
         scaled = model.copy()
         scaled.w_out *= 2.5
         scaled.b_out *= 2.5
-        x = rng.standard_normal(4)
+        x = rng.standard_normal((3, 4))
         assert_allclose(forward(scaled, x), 2.5 * forward(model, x))
 
     def test_dimension_mismatch_rejected(self, rng):
-        with pytest.raises(ValueError, match="width"):
-            forward(tiny_model(rng), np.zeros(5))
+        model = tiny_model(rng)
+        # a wrong width, and a single vector instead of a batch of rows
+        for x in (np.zeros((2, 5)), np.zeros(4)):
+            with pytest.raises(ValueError, match="width"):
+                forward(model, x)
 
 
 class TestBackward:

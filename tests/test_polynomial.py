@@ -222,7 +222,7 @@ def _drawn_channel(sc, seed):
     from xlic.config import derive_rng
     from xlic import draw_channel
 
-    return draw_channel(derive_rng(seed, "channel"), sc.n_rx, sc.n_tx, sc.n_paths, sc.pathloss())
+    return draw_channel(derive_rng(seed, "channel"), sc.n_rx, sc.n_tx, sc.n_paths)
 
 
 class TestCounts:

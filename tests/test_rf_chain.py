@@ -9,6 +9,10 @@ from numpy.testing import assert_allclose
 from xlic import IqImbalance, PaModel, apply_iq_mixer, apply_pa, transmit_chain
 
 
+BALANCED = IqImbalance(gain=1.0, phase_rad=0.0)
+UNIT_PA = PaModel(order=1, memory=0, taps=np.ones((1, 1)))
+
+
 def chain_oracle(x, gain, phase, pa_taps_by_order, memory):
     """Straight-line scalar evaluation of the mixer + PA equations.
 
@@ -83,7 +87,7 @@ class TestIqImbalance:
 class TestPaModel:
     def test_identity_pa(self, rng):
         x = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        assert_allclose(apply_pa(x, PaModel.identity()), x)
+        assert_allclose(apply_pa(x, UNIT_PA), x)
 
     def test_memoryless_cubic_example(self):
         pa = PaModel(order=3, memory=0, taps=np.array([[1.0], [-0.1]]))
@@ -133,7 +137,7 @@ class TestTransmitChain:
 
     def test_ideal_chain_is_identity(self, rng):
         x = rng.standard_normal((2, 20)) + 1j * rng.standard_normal((2, 20))
-        y = transmit_chain(x, [IqImbalance()] * 2, [PaModel.identity()] * 2)
+        y = transmit_chain(x, [BALANCED] * 2, [UNIT_PA] * 2)
         assert_allclose(y, x)
 
     def test_balanced_mixer_reduces_to_pa(self, rng):
@@ -159,7 +163,7 @@ class TestTransmitChain:
     def test_per_antenna_impairments(self, rng):
         x = rng.standard_normal((2, 25)) + 1j * rng.standard_normal((2, 25))
         iqs = [IqImbalance(1.02, 0.01), IqImbalance(0.97, -0.03)]
-        pas = [PaModel.identity(), PaModel(3, 0, np.array([[1.0], [-0.1]]))]
+        pas = [UNIT_PA, PaModel(3, 0, np.array([[1.0], [-0.1]]))]
         y = transmit_chain(x, iqs, pas)
         assert_allclose(y[0], apply_pa(apply_iq_mixer(x[0], iqs[0]), pas[0]))
         assert_allclose(y[1], apply_pa(apply_iq_mixer(x[1], iqs[1]), pas[1]))
@@ -167,6 +171,6 @@ class TestTransmitChain:
     def test_impairment_list_length_mismatch_rejected(self, rng):
         x = rng.standard_normal((3, 10)).astype(complex)
         with pytest.raises(ValueError, match="antenna count"):
-            transmit_chain(x, [IqImbalance()] * 2, [PaModel.identity()] * 3)
+            transmit_chain(x, [BALANCED] * 2, [UNIT_PA] * 3)
         with pytest.raises(ValueError, match="antenna count"):
-            transmit_chain(x, [IqImbalance()] * 3, [PaModel.identity()] * 4)
+            transmit_chain(x, [BALANCED] * 3, [UNIT_PA] * 4)

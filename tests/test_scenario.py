@@ -1,13 +1,16 @@
 """Tests for dataset generation, regressor windows and persistence."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import ideal_rf, small_scenario
+from conftest import ideal_rf, small_ofdm, small_scenario
 from xlic import (
     CliDataset,
     MultipathChannel,
+    RunConfig,
     ScenarioSettings,
     build_regressors,
     generate_dataset,
@@ -90,6 +93,9 @@ class TestGenerateDataset:
         # checked when the settings are made, before any generation
         with pytest.raises(ConfigError, match="scenario.n_samples: .*window depth"):
             small_scenario(n_samples=5)
+        # split floor(0.001 * 4000) = 4 is inside the depth-5 delay line
+        with pytest.raises(ConfigError, match="scenario.train_fraction: .*empty train"):
+            small_scenario(train_fraction=0.001)
 
     def test_injected_channel_shape_checked(self):
         sc = small_scenario()
@@ -215,3 +221,53 @@ class TestPowerConvention:
         per_antenna = measure_power_dbm(ds_total.rx)
         assert per_antenna == pytest.approx(-52.1 - 10 * np.log10(2), abs=0.05)
         assert measure_power_dbm(ds_mean.rx) == pytest.approx(-52.1, abs=0.05)
+
+
+class TestPathLoss:
+    UNCALIBRATED = dict(
+        target_rx_power_dbm=None,
+        noise_enabled=False,
+        adc_enabled=False,
+        pathloss_exponent=2.0,
+    )
+
+    def test_drawn_channel_scaled_by_distance(self):
+        # amplitude distance**(-exponent/2): 4**-1 on every tap, so on every label
+        near = generate_dataset(small_scenario(**self.UNCALIBRATED), seed=4)
+        far = generate_dataset(
+            small_scenario(pathloss_distance_m=4.0, **self.UNCALIBRATED), seed=4
+        )
+        assert_array_equal(far.tx, near.tx)
+        assert_array_equal(far.rx, 0.25 * near.rx)
+        assert far.label_scale == 0.25 * near.label_scale
+
+    def test_injected_channel_is_not_scaled(self):
+        channel = MultipathChannel(np.full((2, 2, 3), 0.5))
+        near = generate_dataset(small_scenario(**self.UNCALIBRATED), 4, channel)
+        far = generate_dataset(
+            small_scenario(pathloss_distance_m=4.0, **self.UNCALIBRATED), 4, channel
+        )
+        assert_array_equal(far.rx, near.rx)
+
+
+class TestIqDefaults:
+    @pytest.mark.parametrize(
+        "iq, expected",
+        [
+            ({}, {"gain": 1.05, "phase_rad": 0.05}),
+            ({"gain": 1.2}, {"gain": 1.2, "phase_rad": 0.05}),
+            ({"phase_rad": -0.02}, {"gain": 1.05, "phase_rad": -0.02}),
+        ],
+    )
+    def test_missing_fields_take_the_reference_mixer(self, iq, expected):
+        scenario = dict(
+            n_rx=2,
+            n_tx=2,
+            n_paths=3,
+            n_samples=4000,
+            ofdm=dataclasses.asdict(small_ofdm()),
+            iq=iq,
+        )
+        cfg = RunConfig.from_dict({"scenario": scenario})
+        ds = generate_dataset(cfg.scenario, seed=1)
+        assert ds.meta["scenario"]["iq"] == expected

@@ -6,6 +6,9 @@ Imports ``xlic`` from ``<checkout>/src`` at one BLAS thread. Hashes datasets and
 every ``CancellerResult`` field, history and weight array of tc, pc (P=3), nnc and
 hc (3 epochs) on a small 2x2 scenario (seeds 1-2) and the default 4x4 one (seed 1);
 ``sweep`` on P and nh; and the CLI's exit status, stdout, stderr and file bytes.
+Datasets alone are hashed for the scenario values that the default config does not
+exercise: uncalibrated path loss, a fixed ADC full scale, per-antenna impairment
+lists, a partial ``iq`` object and the ADC switched off.
 """
 
 import contextlib
@@ -22,7 +25,7 @@ import numpy as np  # noqa: E402
 SRC = os.path.join(os.path.abspath(sys.argv[1]), "src")
 sys.path.insert(0, SRC)
 import xlic  # noqa: E402
-from xlic import OfdmConfig, ScenarioSettings, TrainSettings, cli, harness  # noqa: E402
+from xlic import OfdmConfig, RunConfig, ScenarioSettings, TrainSettings, cli, harness  # noqa: E402
 
 if not xlic.__file__.startswith(SRC + os.sep):
     sys.exit(f"xlic was imported from {xlic.__file__}, not from {SRC}")
@@ -50,13 +53,17 @@ def put_result(key: str, res) -> None:
             put(f"{key}/{name}/{i}", arr)
 
 
+def put_dataset(key: str, ds) -> None:
+    for name in ("tx", "rx", "input_scale", "label_scale", "split_index", "window_depth"):
+        put(f"{key}/ds/{name}", getattr(ds, name))
+    put(f"{key}/ds/meta", json.dumps(ds.meta, sort_keys=True))
+
+
 def library(tag: str, scenario, seeds, nnc_hidden: int, hc_hidden: int, orders) -> None:
     for seed in seeds:
         ds = xlic.generate_dataset(scenario, seed)
         key = f"{tag}/s{seed}"
-        for name in ("tx", "rx", "input_scale", "label_scale", "split_index", "window_depth"):
-            put(f"{key}/ds/{name}", getattr(ds, name))
-        put(f"{key}/ds/meta", json.dumps(ds.meta, sort_keys=True))
+        put_dataset(key, ds)
         for c, n_hidden in (("tc", 0), ("pc", 0), ("nnc", nnc_hidden), ("hc", hc_hidden)):
             res = harness.run_canceller(ds, c, order=3, n_hidden=n_hidden, train_cfg=TRAIN)
             put_result(f"{key}/{c}", res)
@@ -92,6 +99,27 @@ def command_line() -> None:
                     put(f"cli/file/{name}", fh.read().replace(tmp.encode(), b"<tmp>"))
 
 
+def scenario_values() -> None:
+    """Datasets of small scenarios, built from JSON-shaped dicts as a config file is."""
+    uncalibrated = {"target_rx_power_dbm": None, "pathloss_distance_m": 4.0}
+    variants = {
+        "pathloss_e2": {**uncalibrated, "pathloss_exponent": 2.0},
+        "pathloss_e3.5": {**uncalibrated, "pathloss_distance_m": 1.3, "pathloss_exponent": 3.5},
+        "fixed_adc": {"noise_enabled": False, "adc_full_scale": 5e-4, "adc_bits": 8},
+        "per_antenna": {
+            "iq": [{"gain": 1.02, "phase_rad": 0.01}, {"gain": 0.97, "phase_rad": -0.03}],
+            "pa": [{}, {"order": 1, "memory": 0, "taps": [[[1.0, 0.0]]]}],
+        },
+        "partial_iq": {"iq": {"gain": 1.2}},
+        "adc_off": {"adc_enabled": False},
+    }
+    for tag, values in variants.items():
+        scenario = {**SMALL, "ofdm": SMALL_OFDM, **values}
+        cfg = RunConfig.from_dict({"scenario": scenario})
+        put_dataset(f"scenario/{tag}", xlic.generate_dataset(cfg.scenario, 3))
+
+
+scenario_values()
 small = ScenarioSettings(**SMALL, ofdm=OfdmConfig(**SMALL_OFDM))
 library("small", small, (1, 2), 16, 8, (1, 3, 5))
 library("default", ScenarioSettings(), (1,), 300, 200, (1, 3))
