@@ -163,6 +163,22 @@ def _epoch_rows(res: CancellerResult) -> list[dict]:
     ]
 
 
+def _warn_if_diverged(res: CancellerResult) -> None:
+    """One stderr line for a network row with a non-finite loss or C_dB below 0 dB."""
+    if res.test_losses is None:
+        return
+    if not np.all(np.isfinite(res.train_losses + res.test_losses)):
+        reason = "non-finite loss"
+    elif res.c_db < 0.0:
+        reason = f"c_db {_fmt(res.c_db)} dB is below 0 dB"
+    else:
+        return
+    print(
+        f"warning: {res.canceller}: training diverged (n_hidden {res.setting}: {reason})",
+        file=sys.stderr,
+    )
+
+
 def _epochs_path(results_path: str) -> str:
     stem, ext = os.path.splitext(results_path)
     return f"{stem}_epochs{ext or '.csv'}"
@@ -202,6 +218,7 @@ def cmd_run(args) -> int:
         n_hidden=n_hidden,
         train_cfg=cfg.training,
     )
+    _warn_if_diverged(res)
     out = _out_path(args.out, "results.csv")
     _append_csv(out, RESULT_FIELDS, [_result_row(res)])
     epoch_rows = _epoch_rows(res)
@@ -231,6 +248,8 @@ def cmd_sweep(args) -> int:
         train_cfg=cfg.training,
         with_performance=not args.no_train,
     )
+    for row in rows:
+        _warn_if_diverged(row)
     _write_csv(out, RESULT_FIELDS, [_result_row(r) for r in rows])
     print(f"sweep: {out} rows={len(rows)}")
     return 0

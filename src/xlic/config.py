@@ -131,6 +131,7 @@ class ScenarioSettings:
             raise ConfigError("scenario.pathloss_distance_m: must be > 0")
         if not (self.pathloss_exponent >= 0):
             raise ConfigError("scenario.pathloss_exponent: must be >= 0")
+        self._per_antenna("iq")  # the pa list is checked through window_depth
         if self.n_samples <= self.window_depth:
             raise ConfigError(
                 f"scenario.n_samples: {self.n_samples} must exceed the window depth "

@@ -8,6 +8,13 @@ weights, their gradients and the Adam moments are each one flat vector.
 Training has one step, ``adam_step(model, state, backward(model, xb, yb), cfg)``,
 the one the gradient check and the Adam tests exercise; it is
 bit-deterministic for a fixed seed at a fixed BLAS thread count.
+
+The arithmetic follows the dtype of the model's ``flat``: float32 for a
+float32 model, float64 for any other, and inputs are cast to it. ``train``
+steps a float32 copy of its float64 model, casting each batch and each
+evaluation chunk as it is gathered, and sums the losses in float64; the
+caller's model and the returned one hold the float32 weights upcast
+exactly to float64, so saved models stay float64.
 """
 
 from __future__ import annotations
@@ -25,7 +32,10 @@ EVAL_ROWS = 2048  # rows per evaluation forward call; hidden array 4.9 MB at 300
 
 @dataclass
 class _Params:
-    """Four arrays, copied into one float64 vector ``flat`` and viewed from it."""
+    """Four arrays, copied into one vector ``flat`` and viewed from it.
+
+    ``flat`` is float32 if every array is, float64 otherwise.
+    """
 
     w_hidden: np.ndarray  # (n_hidden, n_in)
     b_hidden: np.ndarray  # (n_hidden,)
@@ -33,8 +43,9 @@ class _Params:
     b_out: np.ndarray  # (n_out,)
 
     def __post_init__(self):
-        arrays = [np.asarray(p, dtype=np.float64) for p in self.params()]
-        self.flat = np.concatenate([a.ravel() for a in arrays])
+        arrays = [np.asarray(p) for p in self.params()]
+        dtype = np.result_type(np.float32, *arrays)
+        self.flat = np.concatenate([a.ravel() for a in arrays], dtype=dtype)
         ends = np.cumsum([a.size for a in arrays])
         for f, a, end in zip(fields(self), arrays, ends):
             setattr(self, f.name, self.flat[end - a.size : end].reshape(a.shape))
@@ -119,7 +130,7 @@ class Gradients(_Params):
 
 def forward(model: FnnModel, x: np.ndarray) -> np.ndarray:
     """Evaluate the network on a batch of rows, shape ``(batch, n_in)``."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=model.flat.dtype)
     if x.ndim != 2 or x.shape[1] != model.n_in:
         raise ValueError(f"input shape {x.shape}, model expects rows of width {model.n_in}")
     hidden = x @ model.w_hidden.T
@@ -145,8 +156,8 @@ def backward(model: FnnModel, x: np.ndarray, y: np.ndarray, out=None) -> Gradien
     an exact ``+0.0`` for any error, inf and nan included; the mask clears
     bits, which needs no branch per element.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    x = np.atleast_2d(np.asarray(x, dtype=model.flat.dtype))
+    y = np.atleast_2d(np.asarray(y, dtype=model.flat.dtype))
     if x.shape[0] == 0:
         raise ValueError("batch must be nonempty")
     pre = x @ model.w_hidden.T
@@ -157,8 +168,8 @@ def backward(model: FnnModel, x: np.ndarray, y: np.ndarray, out=None) -> Gradien
     g_out -= y
     g_out *= 2.0 / x.shape[0]
     d_hidden = g_out @ model.w_out
-    bits = d_hidden.view(np.int64)  # ReLU mask on the bits: +0.0 where pre <= 0
-    bits &= np.subtract(pre <= 0.0, 1, dtype=np.int64)  # 0 there, all ones elsewhere
+    bits = d_hidden.view(f"i{d_hidden.itemsize}")  # ReLU mask on the bits: +0.0 where pre <= 0
+    bits &= np.subtract(pre <= 0.0, 1, dtype=bits.dtype)  # 0 there, all ones elsewhere
     if out is None:
         out = Gradients(*model.params())  # the layout; every element is overwritten
     np.matmul(d_hidden.T, x, out=out.w_hidden)
@@ -224,11 +235,13 @@ class TrainResult:
 
 
 def _eval_loss(model: FnnModel, x: np.ndarray, y: np.ndarray) -> float:
-    """:func:`loss_mse` of :func:`forward`, ``EVAL_ROWS`` rows per call, one mean."""
+    """:func:`loss_mse` of :func:`forward`, ``EVAL_ROWS`` rows per call, one mean.
+
+    The error is taken against the float64 ``y`` and summed in float64.
+    """
     sq_err = np.empty(x.shape[0])
     for start in range(0, x.shape[0], EVAL_ROWS):
-        err = forward(model, x[start : start + EVAL_ROWS])
-        err -= y[start : start + EVAL_ROWS]
+        err = forward(model, x[start : start + EVAL_ROWS]) - y[start : start + EVAL_ROWS]
         np.square(err, out=err).sum(axis=1, out=sq_err[start : start + EVAL_ROWS])
     return float(np.mean(sq_err))
 
@@ -248,8 +261,12 @@ def train(
     drawn from ``shuffle_seed``; each batch is gathered from the training
     rows by that order, so no shuffled copy of the training set is made,
     and takes one :func:`adam_step` on its :func:`backward` gradients. The
-    returned model carries the weights of the epoch with the lowest test
-    loss; the input model is trained in place to the final epoch.
+    steps update a float32 copy of ``model``; each batch and each evaluation
+    chunk is cast from the float64 rows as it is gathered, so no float32
+    copy of the training set is made. The returned model carries the
+    weights of the epoch with the lowest test loss; the input model is
+    trained in place to the final epoch. Both hold the float32 weights in
+    ``model``'s dtype.
     """
     x_train = np.ascontiguousarray(x_train, dtype=np.float64)
     y_train = np.ascontiguousarray(y_train, dtype=np.float64)
@@ -257,7 +274,8 @@ def train(
     if n_train == 0:
         raise ValueError("training set is empty")
     rng = np.random.default_rng(shuffle_seed)
-    state = AdamState.for_model(model)
+    work = FnnModel(*(p.astype(np.float32) for p in model.params()))
+    state = AdamState.for_model(work)
     grads = None  # one gradient buffer, reused by every step
 
     train_losses: list[float] = []
@@ -270,18 +288,20 @@ def train(
         order = rng.permutation(n_train)
         for start in range(0, n_train, cfg.batch_size):
             rows = order[start : start + cfg.batch_size]
-            grads = backward(model, x_train[rows], y_train[rows], out=grads)
-            adam_step(model, state, grads, cfg)
+            grads = backward(work, x_train[rows], y_train[rows], out=grads)
+            adam_step(work, state, grads, cfg)
 
-        train_losses.append(_eval_loss(model, x_train, y_train))
-        test_losses.append(_eval_loss(model, x_test, y_test))
+        train_losses.append(_eval_loss(work, x_train, y_train))
+        test_losses.append(_eval_loss(work, x_test, y_test))
         if test_losses[-1] < best_loss:
             best_loss = test_losses[-1]
-            best_model = model.copy()
+            best_model = work.copy()
             best_epoch = epoch
 
+    model.flat[:] = work.flat  # an exact upcast, into the caller's views
+    best = work if best_model is None else best_model
     return TrainResult(
-        model=best_model if best_model is not None else model.copy(),
+        model=FnnModel(*(p.astype(model.flat.dtype) for p in best.params())),
         train_losses=train_losses,
         test_losses=test_losses,
         best_epoch=best_epoch,

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -9,8 +10,9 @@ import sys
 import pytest
 
 from conftest import small_ofdm
-from xlic.cli import main
+from xlic.cli import _warn_if_diverged, main
 from xlic.config import RunConfig, ScenarioSettings, load_config, save_config
+from xlic.harness import CancellerResult
 import dataclasses
 
 
@@ -162,6 +164,16 @@ class TestGenerate:
             err = capsys.readouterr().err
             assert err.startswith("error: ConfigError: scenario.train_fraction: ")
             assert not os.path.exists(results)
+
+    def test_iq_list_length_rejected_at_load_by_run(self, tmp_path, capsys):
+        ds, results = tmp_path / "ds.bin", str(tmp_path / "results.csv")
+        assert run_cli("generate", "--config", small_config(tmp_path), "--out", str(ds)) == 0
+        bad = small_config(tmp_path, iq=[{}, {}, {}])
+        argv = ["run", "--canceller", "tc", "--config", bad, "--dataset", str(ds)]
+        assert run_cli(*argv, "--out", results) == 2
+        err = capsys.readouterr().err
+        assert err == "error: ConfigError: scenario.iq: expected 1 or 2 entries, got 3\n"
+        assert not os.path.exists(results)
 
     @pytest.mark.parametrize(
         "pa, where",
@@ -448,6 +460,73 @@ class TestSweep:
         assert err.startswith("error: ConfigError: canceller.nnc_hidden")
         assert err.count("\n") == 1
         assert not out.exists()
+
+
+class TestDivergence:
+    """A diverged network row warns on stderr; exit code and outputs are unchanged."""
+
+    @pytest.fixture
+    def diverging(self, tmp_path):
+        # small_scenario's 4,000 samples at learning rate 1e3: nnc reads about -95 dB
+        cfg = small_config(tmp_path, n_samples=4000)
+        with open(cfg) as fh:
+            edited = _set("training", "learning_rate", 1e3)(json.load(fh))
+        with open(cfg, "w") as fh:
+            json.dump(edited, fh)
+        ds = tmp_path / "ds.bin"
+        assert run_cli("generate", "--config", cfg, "--out", str(ds)) == 0
+        return cfg, str(ds), tmp_path
+
+    def test_run_prints_one_warning_line(self, diverging, capsys):
+        cfg, ds, tmp = diverging
+        results = tmp / "results.csv"
+        capsys.readouterr()
+        assert run_cli("run", "--config", cfg, "--dataset", ds, "--canceller", "nnc",
+                       "--out", str(results)) == 0
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"warning: nnc: training diverged \(n_hidden 12: c_db -\d+\.\d+ dB is below 0 dB\)\n",
+            err,
+        )
+        assert len(results.read_text().splitlines()) == 2
+        assert (tmp / "results_epochs.csv").exists()
+        assert (tmp / "nnc_model.bin").exists()
+
+    def test_sweep_warns_for_each_network_row(self, diverging, capsys):
+        cfg, ds, tmp = diverging
+        out = tmp / "sweep.csv"
+        capsys.readouterr()
+        assert run_cli("sweep", "--config", cfg, "--dataset", ds, "--axis", "nh",
+                       "--values", "4", "--out", str(out)) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(" (")[0] for line in lines] == [
+            "warning: nnc: training diverged",
+            "warning: hc: training diverged",
+        ]
+        assert len(out.read_text().splitlines()) == 3
+
+    def test_non_finite_loss_warns(self, capsys):
+        res = CancellerResult(
+            canceller="hc",
+            seed=1,
+            n_params=1,
+            complexity=1,
+            c_db=float("nan"),
+            setting=4,
+            train_losses=[1.0, float("inf")],
+            test_losses=[1.0, float("nan")],
+        )
+        _warn_if_diverged(res)
+        assert capsys.readouterr().err == (
+            "warning: hc: training diverged (n_hidden 4: non-finite loss)\n"
+        )
+
+    def test_converging_run_is_silent(self, pipeline, capsys):
+        cfg, ds, tmp = pipeline
+        capsys.readouterr()
+        assert run_cli("run", "--config", cfg, "--dataset", ds, "--canceller", "hc",
+                       "--out", str(tmp / "results.csv")) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestReport:

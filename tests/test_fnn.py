@@ -30,6 +30,11 @@ def tiny_model(rng, n_in=4, n_h=2, n_out=2) -> FnnModel:
     )
 
 
+def as_float32(model: FnnModel) -> FnnModel:
+    """The float32 copy of ``model`` that ``train`` steps."""
+    return FnnModel(*(p.astype(np.float32) for p in model.params()))
+
+
 def forward_oracle(model: FnnModel, x: np.ndarray) -> np.ndarray:
     """Scalar straight-line evaluation, independent of the library path."""
     hidden = []
@@ -276,7 +281,7 @@ class TestTrain:
         cfg = TrainSettings(epochs=3, learning_rate=0.0)
         fit = train(model, x, y, x, y, cfg, shuffle_seed=1)
         for p, b in zip(model.params(), before):
-            assert_array_equal(p, b)
+            assert_array_equal(p, b.astype(np.float32))  # the float32 rounding
         assert len(set(fit.train_losses)) == 1  # constant loss
 
     def test_loss_history_finite_and_no_divergence(self, rng):
@@ -321,14 +326,15 @@ class TestTrain:
 
     def test_train_is_the_tested_step(self, rng):
         # train must be exactly seeded permutation batches through
-        # adam_step(backward(...)); 37 rows at batch 8 end in a tail of 5
+        # adam_step(backward(...)) on a float32 copy of the model; 37 rows
+        # at batch 8 end in a tail of 5
         x = rng.standard_normal((37, 4))
         y = rng.standard_normal((37, 2))
         cfg = TrainSettings(epochs=3, batch_size=8, learning_rate=1e-2)
         trained = FnnModel.initialize(4, 5, 2, seed=7)
         fit = train(trained, x, y, x, y, cfg, shuffle_seed=8)
 
-        model = FnnModel.initialize(4, 5, 2, seed=7)
+        model = as_float32(FnnModel.initialize(4, 5, 2, seed=7))
         state = AdamState.for_model(model)
         shuffle = np.random.default_rng(8)
         losses = []
@@ -341,7 +347,7 @@ class TestTrain:
         assert state.t == 3 * 5
         assert fit.train_losses == losses
         for a, b in zip(trained.params(), model.params()):
-            assert_array_equal(a, b)
+            assert_array_equal(a, b.astype(np.float64))
 
     def test_no_shuffled_copy_of_the_training_set(self, rng):
         # each batch is gathered by the shuffled order; test_train_is_the_tested_step
@@ -372,8 +378,9 @@ class TestTrain:
         model = FnnModel.initialize(4, 8, 2, seed=3)
         cfg = TrainSettings(epochs=1, batch_size=64, learning_rate=1e-2)
         fit = train(model, x, y, x_test, y_test, cfg, shuffle_seed=4)
-        assert fit.train_losses == [loss_mse(forward(model, x), y)]
-        assert fit.test_losses == [loss_mse(forward(model, x_test), y_test)]
+        stepped = as_float32(model)
+        assert fit.train_losses == [loss_mse(forward(stepped, x), y)]
+        assert fit.test_losses == [loss_mse(forward(stepped, x_test), y_test)]
 
     def test_caller_model_trained_in_place(self, rng):
         x = rng.standard_normal((40, 4))
@@ -383,11 +390,53 @@ class TestTrain:
         views = model.params()
         cfg = TrainSettings(epochs=2, batch_size=8, learning_rate=1e-2)
         fit = train(model, x, y, x, y, cfg, shuffle_seed=8)
-        assert fit.train_losses[-1] == loss_mse(forward(model, x), y)
+        assert fit.train_losses[-1] == loss_mse(forward(as_float32(model), x), y)
         for view, p, p0 in zip(views, model.params(), initial.params()):
             assert view is p
             assert not np.array_equal(p, p0)
         assert not np.shares_memory(fit.model.flat, model.flat)
+
+
+class TestDtype:
+    """Arithmetic follows the model's dtype; ``train`` steps float32, keeps float64."""
+
+    def test_train_returns_and_leaves_float64_saved_as_f8(self, tmp_path, rng):
+        x = rng.standard_normal((40, 4))
+        y = rng.standard_normal((40, 2))
+        model = FnnModel.initialize(4, 5, 2, seed=7)
+        cfg = TrainSettings(epochs=2, batch_size=8, learning_rate=1e-2)
+        fit = train(model, x, y, x, y, cfg, shuffle_seed=8)
+        for m in (fit.model, model):
+            assert m.flat.dtype == np.float64
+            assert all(p.dtype == np.float64 for p in m.params())
+            assert_array_equal(m.flat, m.flat.astype(np.float32))  # exact upcasts
+        path = tmp_path / "model.bin"
+        save_model(fit.model, path, extra_meta={})
+        loaded, _ = load_model(path)
+        for a, b in zip(loaded.params(), fit.model.params()):
+            assert a.dtype.str == "<f8"
+            assert_array_equal(a, b)
+
+    def test_float32_model_steps_in_float32(self, rng):
+        model = as_float32(tiny_model(rng))
+        x = rng.standard_normal((5, 4))
+        y = rng.standard_normal((5, 2))
+        assert forward(model, x).dtype == np.float32
+        grads = backward(model, x, y)
+        assert grads.flat.dtype == np.float32
+        assert all(g.dtype == np.float32 for g in grads.params())
+        state = AdamState.for_model(model)
+        flat = model.flat
+        adam_step(model, state, grads, TrainSettings())
+        assert model.flat is flat and flat.dtype == np.float32
+        assert state.m.dtype == state.v.dtype == state.scratch.dtype == np.float32
+
+    def test_float64_model_backward_stays_float64(self, rng):
+        model = tiny_model(rng)
+        x = rng.standard_normal((5, 4)).astype(np.float32)
+        y = rng.standard_normal((5, 2)).astype(np.float32)
+        assert forward(model, x).dtype == np.float64
+        assert backward(model, x, y).flat.dtype == np.float64
 
 
 class TestCounts:
