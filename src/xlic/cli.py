@@ -67,12 +67,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# The one column whose CancellerResult attribute has another name.
-_RESULT_ATTRS = {"residual_dbm": "residual_power_dbm"}
-
-
 def _result_row(res: CancellerResult) -> dict:
-    return {f: _fmt(getattr(res, _RESULT_ATTRS.get(f, f))) for f in RESULT_FIELDS}
+    return {f: _fmt(getattr(res, f)) for f in RESULT_FIELDS}
 
 
 def _write_csv(path: str, fields: list[str], rows: list[dict]) -> None:
@@ -226,7 +222,7 @@ def cmd_run(args) -> int:
         _append_csv(_epochs_path(out), EPOCH_FIELDS, epoch_rows)
     _save_artifacts(res, args.models_dir or os.path.dirname(os.path.abspath(out)))
     print(
-        f"{res.canceller}: c_db={_fmt(res.c_db)} residual={_fmt(res.residual_power_dbm)} dBm "
+        f"{res.canceller}: c_db={_fmt(res.c_db)} residual={_fmt(res.residual_dbm)} dBm "
         f"params={res.n_params} complexity={res.complexity}"
     )
     return 0
@@ -260,9 +256,10 @@ def _c_db_sort_key(row: dict) -> float:
     if raw == ABOVE_RANGE:
         return np.inf
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         return -np.inf
+    return -np.inf if np.isnan(value) else value
 
 
 def cmd_report(args) -> int:

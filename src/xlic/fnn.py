@@ -246,6 +246,8 @@ def _eval_loss(model: FnnModel, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(sq_err))
 
 
+# A diverging run overflows; its losses and the CLI's warning report it, not NumPy.
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     model: FnnModel,
     x_train: np.ndarray,

@@ -101,7 +101,7 @@ class CancellerResult:
     n_params: int
     complexity: int
     c_db: float | None = None
-    residual_power_dbm: float | None = None
+    residual_dbm: float | None = None
     rx_power_dbm: float | None = None
     noise_floor_dbm: float | None = None
     epochs: int | None = None
@@ -173,7 +173,7 @@ def _score(
         ds,
         setting,
         c_db=cancellation_db(s_test, s_hat),
-        residual_power_dbm=residual_power_dbm(s_test, s_hat),
+        residual_dbm=residual_power_dbm(s_test, s_hat),
         rx_power_dbm=measure_power_dbm(s_test),
         noise_floor_dbm=_noise_floor(ds),
         **extra,

@@ -105,18 +105,11 @@ class CliDataset:
         return self.tx.shape[1]
 
 
-def generate_dataset(
-    scenario: ScenarioSettings,
-    seed: int,
-    channel: MultipathChannel | None = None,
-) -> CliDataset:
+def generate_dataset(scenario: ScenarioSettings, seed: int) -> CliDataset:
     """Simulate one clean-period capture and package it as a dataset.
 
-    Deterministic given ``seed``. ``channel`` overrides the random draw
-    (used for controlled tests and ablations); when provided it is still
-    calibrated to the target received power unless calibration is
-    disabled. A drawn channel is scaled by the path loss
-    ``pathloss_distance_m ** (-pathloss_exponent / 2)``; an injected one is not.
+    Deterministic given ``seed``. The drawn channel is scaled by the path
+    loss ``pathloss_distance_m ** (-pathloss_exponent / 2)``.
     """
     depth = scenario.window_depth
     n_transient = depth - 1
@@ -132,21 +125,15 @@ def generate_dataset(
     )
     amplified = transmit_chain(tx, scenario.iq_models(), scenario.pa_models())
 
-    if channel is None:
-        drawn = draw_channel(
-            derive_rng(seed, "channel"),
-            scenario.n_rx,
-            scenario.n_tx,
-            scenario.n_paths,
-        )
-        # np.power, not float **: the ufunc's rounding is the one datasets were made with
-        pathloss = np.power(scenario.pathloss_distance_m, -scenario.pathloss_exponent / 2.0)
-        channel = MultipathChannel(drawn.taps * pathloss)
-    elif (channel.n_rx, channel.n_tx) != (scenario.n_rx, scenario.n_tx):
-        raise ValueError(
-            f"injected channel is {channel.n_rx}x{channel.n_tx}, "
-            f"scenario expects {scenario.n_rx}x{scenario.n_tx}"
-        )
+    drawn = draw_channel(
+        derive_rng(seed, "channel"),
+        scenario.n_rx,
+        scenario.n_tx,
+        scenario.n_paths,
+    )
+    # np.power, not float **: the ufunc's rounding is the one datasets were made with
+    pathloss = np.power(scenario.pathloss_distance_m, -scenario.pathloss_exponent / 2.0)
+    channel = MultipathChannel(drawn.taps * pathloss)
     channel_scale = 1.0
     if scenario.target_rx_power_dbm is not None:
         target = scenario.target_rx_power_dbm

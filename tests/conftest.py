@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from xlic import IqImbalance, ScenarioSettings
-from xlic.config import OfdmSettings, PaSettings
+from xlic.config import OfdmSettings, PaSettings, ScenarioSettings
+from xlic.rf_chain import IqImbalance
 
 
 @pytest.fixture

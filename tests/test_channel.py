@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from xlic import (
+from xlic.channel import (
     MultipathChannel,
     add_awgn,
     calibrate_channel_gain,

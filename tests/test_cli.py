@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from conftest import small_ofdm
-from xlic.cli import _warn_if_diverged, main
+from xlic.cli import RESULT_FIELDS, _warn_if_diverged, main
 from xlic.config import RunConfig, ScenarioSettings, load_config, save_config
 from xlic.harness import CancellerResult
 import dataclasses
@@ -227,7 +227,7 @@ class TestGenerate:
         out = tmp_path / "ds.bin"
         cfg = small_config(tmp_path, iq=iq, pa=pa)
         assert run_cli("generate", "--config", cfg, "--out", str(out)) == 0
-        from xlic import load_dataset
+        from xlic.scenario import load_dataset
 
         meta = load_dataset(out).meta["scenario"]
         assert meta["iq"] == iq
@@ -261,7 +261,7 @@ class TestGenerate:
         assert not out.exists()
 
     def test_seed_override_changes_bytes_same_shape(self, tmp_path):
-        from xlic import load_dataset
+        from xlic.scenario import load_dataset
 
         cfg = small_config(tmp_path)
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
@@ -528,6 +528,31 @@ class TestDivergence:
                        "--out", str(tmp / "results.csv")) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("canceller, n_hidden", [("nnc", 12), ("hc", 8)])
+    @pytest.mark.parametrize(
+        "rate, code, expected",
+        [
+            (1e6, 0, r"warning: {c}: training diverged \(n_hidden {n}: c_db -\d+\.\d+ dB "
+                     r"is below 0 dB\)\n"),
+            (1e30, 2, r"error: ValueError: model weights must be finite\n"),
+        ],
+        ids=["lr1e6", "lr1e30"],
+    )
+    def test_overflow_prints_only_the_promised_line(
+        self, diverging, canceller, n_hidden, rate, code, expected
+    ):
+        # NumPy's overflow warnings would reach stderr; run as a process to see them
+        cfg, ds, tmp = diverging
+        with open(cfg) as fh:
+            edited = _set("training", "learning_rate", rate)(json.load(fh))
+        with open(cfg, "w") as fh:
+            json.dump(edited, fh)
+        proc = TestEntryPoint.run_module("run", "--config", cfg, "--dataset", ds,
+                                         "--canceller", canceller,
+                                         "--out", str(tmp / "results.csv"))
+        assert proc.returncode == code
+        assert re.fullmatch(expected.format(c=canceller, n=n_hidden), proc.stderr)
+
 
 class TestReport:
     def test_full_quartet_summary_sorted(self, pipeline, capsys):
@@ -549,6 +574,22 @@ class TestReport:
         curves = (out_dir / "epoch_curves.csv").read_text().splitlines()
         # one row per epoch per trained canceller
         assert len(curves) == 1 + 2 * 2
+
+    def test_unrankable_rows_sort_last_in_input_order(self, tmp_path):
+        results = tmp_path / "results.csv"
+        c_dbs = ["1.0", "nan", "above-range", "3.0", ""]
+        rows = [",".join([f"r{i}", "1", "", c_db] + [""] * 6) for i, c_db in enumerate(c_dbs)]
+        results.write_text("\n".join([",".join(RESULT_FIELDS), *rows]) + "\n")
+        out_dir = tmp_path / "report"
+        assert run_cli("report", "--results", str(results), "--out-dir", str(out_dir)) == 0
+        summary = (out_dir / "summary.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[3] for line in summary] == [
+            "above-range",
+            "3.0",
+            "1.0",
+            "nan",
+            "",
+        ]
 
     def test_missing_column_schema_error(self, tmp_path, capsys):
         bad = tmp_path / "r.csv"

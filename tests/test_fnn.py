@@ -6,19 +6,21 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from xlic import (
+from xlic.config import TrainSettings
+from xlic.fnn import (
     AdamState,
     FnnModel,
-    TrainSettings,
+    Gradients,
     adam_step,
     backward,
     forward,
+    load_model,
     loss_mse,
     nnc_complexity,
     nnc_param_count,
+    save_model,
     train,
 )
-from xlic.fnn import Gradients, load_model, save_model
 
 
 def tiny_model(rng, n_in=4, n_h=2, n_out=2) -> FnnModel:

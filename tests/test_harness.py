@@ -10,19 +10,16 @@ from numpy.testing import assert_allclose
 
 from conftest import ideal_rf, small_scenario
 from xlic import harness
-from xlic import (
-    BasisSpec,
-    ScenarioSettings,
-    TrainSettings,
-    build_basis_matrix,
+from xlic.channel import measure_power_dbm
+from xlic.config import ConfigError, ScenarioSettings, TrainSettings
+from xlic.fnn import nnc_complexity, nnc_param_count
+from xlic.harness import (
+    _aligned_labels,
     cancellation_db,
-    generate_dataset,
+    deinterleave_iq,
     hc_complexity,
     hc_param_count,
-    ls_fit,
-    measure_power_dbm,
-    nnc_complexity,
-    nnc_param_count,
+    interleave_iq,
     residual_power_dbm,
     run_canceller,
     run_hc,
@@ -31,9 +28,8 @@ from xlic import (
     run_tc,
     sweep,
 )
-from xlic.config import ConfigError
-from xlic.harness import _aligned_labels, deinterleave_iq, interleave_iq
-from xlic.polynomial import CHUNK_ROWS, apply_basis
+from xlic.polynomial import CHUNK_ROWS, BasisSpec, apply_basis, build_basis_matrix, ls_fit
+from xlic.scenario import generate_dataset
 
 FAST_TRAIN = TrainSettings(epochs=4, learning_rate=1e-3)
 
@@ -254,7 +250,7 @@ class TestSweep:
         rows = sweep(small_ds, "P", [1, 3, 5, 7], with_performance=False)
         assert [r.setting for r in rows] == [1, 3, 5, 7]
         depth = small_ds.window_depth
-        from xlic import pc_complexity, pc_param_count
+        from xlic.polynomial import pc_complexity, pc_param_count
 
         for row in rows:
             assert row.n_params == pc_param_count(2, 2, 0, depth, row.setting)

@@ -5,21 +5,23 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import ideal_rf
-from xlic import (
+from xlic.channel import draw_channel
+from xlic.harness import run_tc
+from xlic.polynomial import (
+    CHUNK_ROWS,
     BasisSpec,
-    MultipathChannel,
     PolyCoefficients,
+    SingularBasisError,
+    apply_basis,
     basis_term,
     build_basis_matrix,
-    generate_dataset,
     ls_fit,
     pc_complexity,
     pc_param_count,
-    run_tc,
     tc_complexity,
     tc_param_count,
 )
-from xlic.polynomial import CHUNK_ROWS, SingularBasisError, apply_basis
+from xlic.scenario import generate_dataset
 
 
 class TestBasisTerm:
@@ -220,7 +222,6 @@ class TestTcFit:
 
 def _drawn_channel(sc, seed):
     from xlic.config import derive_rng
-    from xlic import draw_channel
 
     return draw_channel(derive_rng(seed, "channel"), sc.n_rx, sc.n_tx, sc.n_paths)
 

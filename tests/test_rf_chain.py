@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from xlic import IqImbalance, PaModel, apply_iq_mixer, apply_pa, transmit_chain
+from xlic.rf_chain import IqImbalance, PaModel, apply_iq_mixer, apply_pa, transmit_chain
 
 
 BALANCED = IqImbalance(gain=1.0, phase_rad=0.0)

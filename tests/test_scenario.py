@@ -7,18 +7,16 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import ideal_rf, small_ofdm, small_scenario
-from xlic import (
+from xlic.channel import draw_channel, measure_power_dbm
+from xlic.config import ConfigError, PaSettings, RunConfig, ScenarioSettings, derive_rng
+from xlic.container import ContainerChecksumError
+from xlic.scenario import (
     CliDataset,
-    MultipathChannel,
-    RunConfig,
-    ScenarioSettings,
     build_regressors,
     generate_dataset,
     load_dataset,
     save_dataset,
 )
-from xlic.config import ConfigError
-from xlic.container import ContainerChecksumError
 
 
 class TestGenerateDataset:
@@ -30,7 +28,8 @@ class TestGenerateDataset:
         assert ds.window_depth == 2 + 7
 
     def test_identity_chain_reproduces_input(self):
-        # balanced mixer, unit PA, 1x1 unit channel, no noise/ADC
+        # balanced mixer, unit PA, one drawn 1x1 tap, no noise/ADC: the
+        # labels are the input times that tap
         sc = ideal_rf(
             n_rx=1,
             n_tx=1,
@@ -39,9 +38,9 @@ class TestGenerateDataset:
             adc_enabled=False,
             target_rx_power_dbm=None,
         )
-        channel = MultipathChannel(np.ones((1, 1, 1)))
-        ds = generate_dataset(sc, seed=3, channel=channel)
-        assert_allclose(ds.rx, ds.tx, rtol=1e-12)
+        ds = generate_dataset(sc, seed=3)
+        tap = draw_channel(derive_rng(3, "channel"), 1, 1, 1).taps[0, 0, 0]
+        assert_allclose(ds.rx, tap * ds.tx, rtol=1e-12)
 
     def test_same_seed_bit_identical(self, tmp_path):
         sc = small_scenario()
@@ -56,8 +55,6 @@ class TestGenerateDataset:
         assert ds.label_scale == np.abs(ds.rx[:, : ds.split_index]).max()
 
     def test_received_power_hits_target(self):
-        from xlic import measure_power_dbm
-
         ds = generate_dataset(small_scenario(), seed=5)
         assert measure_power_dbm(ds.rx) == pytest.approx(-52.1, abs=0.05)
 
@@ -67,8 +64,6 @@ class TestGenerateDataset:
         # the shorter run equals sample k of a run that saw the same tx
         # stream (transients are dropped at the head).
         # a linear PA with memory gives a nontrivial window depth
-        from xlic.config import PaSettings
-
         sc = ideal_rf(
             n_rx=1,
             n_tx=1,
@@ -78,12 +73,11 @@ class TestGenerateDataset:
             target_rx_power_dbm=None,
             pa=PaSettings(order=1, memory=2, taps=[[[1.0, 0.0], [0.4, 0.0], [0.2, 0.0]]]),
         )
-        channel = MultipathChannel(np.array([0.6, 0.3, 0.1]).reshape(1, 1, 3))
-        ds = generate_dataset(sc, seed=11, channel=channel)
+        ds = generate_dataset(sc, seed=11)
         depth = ds.window_depth
         # recompute each label from the stored tx stream with full history
         taps_pa = np.array([1.0, 0.4, 0.2])
-        h = np.array([0.6, 0.3, 0.1])
+        h = draw_channel(derive_rng(11, "channel"), 1, 1, 3).taps[0, 0]
         eff = np.convolve(taps_pa, h)  # combined FIR, length depth
         for n in (depth - 1, depth, 200, ds.n_samples - 1):
             window = ds.tx[0, n - depth + 1 : n + 1][::-1]
@@ -96,11 +90,6 @@ class TestGenerateDataset:
         # split floor(0.001 * 4000) = 4 is inside the depth-5 delay line
         with pytest.raises(ConfigError, match="scenario.train_fraction: .*empty train"):
             small_scenario(train_fraction=0.001)
-
-    def test_injected_channel_shape_checked(self):
-        sc = small_scenario()
-        with pytest.raises(ValueError, match="injected channel"):
-            generate_dataset(sc, seed=1, channel=MultipathChannel(np.ones((1, 1, 1))))
 
 
 class TestRegressors:
@@ -210,8 +199,6 @@ class TestPersistence:
 
 class TestPowerConvention:
     def test_total_power_target_shifts_per_antenna_level(self):
-        from xlic import measure_power_dbm
-
         base = small_scenario()
         total = small_scenario(target_rx_power_total=True)
         ds_mean = generate_dataset(base, seed=8)
@@ -240,14 +227,6 @@ class TestPathLoss:
         assert_array_equal(far.tx, near.tx)
         assert_array_equal(far.rx, 0.25 * near.rx)
         assert far.label_scale == 0.25 * near.label_scale
-
-    def test_injected_channel_is_not_scaled(self):
-        channel = MultipathChannel(np.full((2, 2, 3), 0.5))
-        near = generate_dataset(small_scenario(**self.UNCALIBRATED), 4, channel)
-        far = generate_dataset(
-            small_scenario(pathloss_distance_m=4.0, **self.UNCALIBRATED), 4, channel
-        )
-        assert_array_equal(far.rx, near.rx)
 
 
 class TestIqDefaults:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from xlic import OfdmConfig, generate_ofdm, measure_power_dbm
+from xlic.channel import measure_power_dbm
+from xlic.waveform import OfdmConfig, generate_ofdm
 
 
 def band_energy_fraction(x: np.ndarray, sample_rate: float, half_band: float) -> float:
