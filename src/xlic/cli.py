@@ -285,7 +285,7 @@ def cmd_report(args) -> int:
             )
     _write_csv(os.path.join(out_dir, "residual_bars.csv"), ["label", "power_dbm"], bars)
 
-    epochs_src = args.epochs or _epochs_path(args.results)
+    epochs_src = _epochs_path(args.results)
     if os.path.exists(epochs_src):
         epoch_rows = _read_csv(epochs_src, EPOCH_FIELDS)
         _write_csv(os.path.join(out_dir, "epoch_curves.csv"), EPOCH_FIELDS, epoch_rows)
@@ -348,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("report", help="summarize a results CSV")
     rep.add_argument("--results", required=True, help="results CSV from 'run'")
-    rep.add_argument("--epochs", default=None, help="epochs CSV (default: sibling file)")
     rep.add_argument("--out-dir", default=None)
     rep.set_defaults(func=cmd_report)
     return parser

@@ -96,22 +96,12 @@ class ScenarioSettings:
     tx_power_dbm: float = 47.0
     # None disables the received-power calibration of the channel.
     target_rx_power_dbm: float | None = -52.1
-    # When true, the target counts the power summed over rx antennas
-    # instead of the per-antenna mean.
-    target_rx_power_total: bool = False
     awgn_power_dbm: float = -90.0
     noise_enabled: bool = True
     adc_enabled: bool = True
     adc_bits: int = 12
-    # None: derived at generation time as adc_headroom * peak rail amplitude.
+    # None: derived at generation time from the capture's peak rail amplitude.
     adc_full_scale: float | None = None
-    adc_headroom: float = 1.2
-    pathloss_distance_m: float = 1.0
-    pathloss_exponent: float = 0.0
-    # PA taps are specified for a unit-average-power drive; when true, the
-    # order-p taps are rescaled by drive_rms**(1-p) so the distortion-to-
-    # signal ratio is independent of the absolute transmit level.
-    pa_taps_at_unit_power: bool = True
     # Single entry shared by all antennas, or one entry per tx antenna.
     iq: IqImbalance | list = field(default_factory=IqImbalance)
     pa: PaSettings | list = field(default_factory=PaSettings)
@@ -125,17 +115,19 @@ class ScenarioSettings:
             raise ConfigError("scenario.train_fraction: must be in (0, 1)")
         if not (self.adc_full_scale is None or self.adc_full_scale > 0):
             raise ConfigError("scenario.adc_full_scale: must be > 0 or null")
-        if self.adc_headroom < 1.0:
-            raise ConfigError("scenario.adc_headroom: must be >= 1")
-        if not (self.pathloss_distance_m > 0):
-            raise ConfigError("scenario.pathloss_distance_m: must be > 0")
-        if not (self.pathloss_exponent >= 0):
-            raise ConfigError("scenario.pathloss_exponent: must be >= 0")
         self._per_antenna("iq")  # the pa list is checked through window_depth
         if self.n_samples <= self.window_depth:
             raise ConfigError(
                 f"scenario.n_samples: {self.n_samples} must exceed the window depth "
                 f"({self.window_depth})"
+            )
+        # generation simulates window_depth - 1 leading samples before the capture
+        if self.n_samples + self.window_depth - 1 < self.ofdm.symbol_len:
+            raise ConfigError(
+                f"scenario.n_samples: {self.n_samples} must be at least "
+                f"{self.ofdm.symbol_len - self.window_depth + 1}, so that with the "
+                f"{self.window_depth - 1} leading samples it covers one OFDM symbol "
+                f"({self.ofdm.symbol_len} samples)"
             )
         if not (self.window_depth <= self.split_index < self.n_samples):
             raise ConfigError(
@@ -158,11 +150,9 @@ class ScenarioSettings:
         return self._per_antenna("iq")
 
     def pa_models(self) -> list[PaModel]:
-        models = [pa.build() for pa in self._per_antenna("pa")]
-        if self.pa_taps_at_unit_power:
-            drive_rms = np.sqrt(10.0 ** ((self.tx_power_dbm - 30.0) / 10.0))
-            models = [_rescale_pa(m, drive_rms) for m in models]
-        return models
+        """The PA of each tx antenna, its unit-power taps moved to the transmit level."""
+        drive_rms = np.sqrt(10.0 ** ((self.tx_power_dbm - 30.0) / 10.0))
+        return [_rescale_pa(pa.build(), drive_rms) for pa in self._per_antenna("pa")]
 
     @property
     def window_depth(self) -> int:
@@ -199,7 +189,6 @@ class TrainSettings:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    seed: int | None = None  # None: derived from the run's root seed
 
     def __post_init__(self):
         if self.batch_size < 1:

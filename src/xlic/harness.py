@@ -217,11 +217,8 @@ def run_pc(ds: CliDataset, order: int = 3) -> CancellerResult:
     return _score("pc", ds, order, s_hat, artifacts={"coefficients": coeffs})
 
 
-def _train_seed(ds: CliDataset, canceller: str, cfg: TrainSettings, purpose: str):
-    root = cfg.seed
-    if root is None:
-        root = ds.meta.get("seed", 0)
-    return derive_rng(root, purpose, canceller)
+def _train_seed(ds: CliDataset, canceller: str, purpose: str):
+    return derive_rng(ds.meta.get("seed", 0), purpose, canceller)
 
 
 def _fit_network(
@@ -249,7 +246,7 @@ def _fit_network(
         x.shape[1],
         n_hidden,
         y.shape[1],
-        _train_seed(ds, canceller, cfg, "init"),
+        _train_seed(ds, canceller, "init"),
         residual=canceller == "hc",
     )
     fit = train(
@@ -259,7 +256,7 @@ def _fit_network(
         x[split_row:],
         y[split_row:],
         cfg,
-        shuffle_seed=_train_seed(ds, canceller, cfg, "shuffle"),
+        shuffle_seed=_train_seed(ds, canceller, "shuffle"),
     )
     s_test = labels[:, split_row:]
     # EVAL_ROWS rows per call, so no (rows x n_hidden) array spans the test set.

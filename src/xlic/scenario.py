@@ -21,13 +21,14 @@ import numpy as np
 
 from . import container
 from .channel import draw_channel, propagate, add_awgn, quantize_adc, calibrate_channel_gain
-from .channel import MultipathChannel
 from .config import ScenarioSettings, _is_int, _is_number, derive_rng
 from .polynomial import BasisSpec, build_basis_matrix
 from .rf_chain import transmit_chain
 from .waveform import generate_ofdm
 
 DATASET_KIND = "dataset"
+# A derived ADC full scale sits this far above the capture's peak rail amplitude.
+ADC_HEADROOM = 1.2
 # The scalar fields of a CliDataset, stored in its container's JSON header.
 _HEADER = ("input_scale", "label_scale", "split_index", "window_depth", "meta")
 
@@ -108,8 +109,7 @@ class CliDataset:
 def generate_dataset(scenario: ScenarioSettings, seed: int) -> CliDataset:
     """Simulate one clean-period capture and package it as a dataset.
 
-    Deterministic given ``seed``. The drawn channel is scaled by the path
-    loss ``pathloss_distance_m ** (-pathloss_exponent / 2)``.
+    Deterministic given ``seed``.
     """
     depth = scenario.window_depth
     n_transient = depth - 1
@@ -125,20 +125,15 @@ def generate_dataset(scenario: ScenarioSettings, seed: int) -> CliDataset:
     )
     amplified = transmit_chain(tx, scenario.iq_models(), scenario.pa_models())
 
-    drawn = draw_channel(
+    channel = draw_channel(
         derive_rng(seed, "channel"),
         scenario.n_rx,
         scenario.n_tx,
         scenario.n_paths,
     )
-    # np.power, not float **: the ufunc's rounding is the one datasets were made with
-    pathloss = np.power(scenario.pathloss_distance_m, -scenario.pathloss_exponent / 2.0)
-    channel = MultipathChannel(drawn.taps * pathloss)
     channel_scale = 1.0
-    if scenario.target_rx_power_dbm is not None:
-        target = scenario.target_rx_power_dbm
-        if scenario.target_rx_power_total:
-            target -= 10.0 * np.log10(scenario.n_rx)
+    target = scenario.target_rx_power_dbm
+    if target is not None:
         channel, channel_scale = calibrate_channel_gain(channel, amplified, target)
 
     rx = propagate(amplified, channel)
@@ -152,7 +147,7 @@ def generate_dataset(scenario: ScenarioSettings, seed: int) -> CliDataset:
     if scenario.adc_enabled:
         if full_scale is None:
             peak = max(np.abs(rx.real).max(), np.abs(rx.imag).max())
-            full_scale = scenario.adc_headroom * float(peak)
+            full_scale = ADC_HEADROOM * float(peak)
         rx = quantize_adc(rx, scenario.adc_bits, full_scale)
 
     tx = tx[:, n_transient:]

@@ -6,6 +6,7 @@ import re
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -77,13 +78,37 @@ class TestConfig:
         assert cfg.training.batch_size == 32
         assert cfg.training.learning_rate == 2e-4
 
-    def test_unknown_field_named_in_error(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"scenario": {"n_rxx": 4}}))
-        from xlic.config import ConfigError
+    @pytest.mark.parametrize(
+        "section, name, value",
+        [
+            ("scenario", "n_rxx", 4),
+            # fields of older configs, removed with the branches they selected
+            ("scenario", "pa_taps_at_unit_power", True),
+            ("scenario", "adc_headroom", 1.2),
+            ("scenario", "target_rx_power_total", False),
+            ("scenario", "pathloss_distance_m", 1.0),
+            ("scenario", "pathloss_exponent", 0.0),
+            ("training", "seed", None),
+        ],
+    )
+    def test_unknown_field_named_in_error(self, tmp_path, capsys, section, name, value):
+        path = small_config(tmp_path)
+        with open(path) as fh:
+            cfg = json.load(fh)
+        cfg[section][name] = value
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        out = tmp_path / "ds.bin"
+        assert run_cli("generate", "--config", path, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: ConfigError: {section}: unknown field '{name}'\n"
+        assert not out.exists()
 
-        with pytest.raises(ConfigError, match="n_rxx"):
-            load_config(path)
+    def test_readme_config_is_the_defaults(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Run config\n", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        assert RunConfig.from_dict(json.loads(block)).to_dict() == RunConfig().to_dict()
 
 
 class TestGenerate:
@@ -114,7 +139,7 @@ class TestGenerate:
             ("scenario", "n_rx", 0),
             ("scenario", "train_fraction", 1.5),
             ("scenario", "train_fraction", 0.0001),
-            ("scenario", "adc_headroom", 0.5),
+            ("scenario", "n_samples", 100),  # with the depth-5 line, short of one symbol
             ("scenario", "ofdm", {"cp_len": 2000}),
             ("scenario", "ofdm", {"qam_order": 8}),
             ("scenario", "ofdm", {"occupied_subcarriers": 2000}),
@@ -127,14 +152,12 @@ class TestGenerate:
             # once checked only by the models at generate, without the field's name
             ("scenario", "adc_bits", 0),
             ("scenario", "adc_full_scale", -1.0),
-            ("scenario", "pathloss_distance_m", 0),
-            ("scenario", "pathloss_exponent", -1),
-            ("scenario", "pa", {"taps": [[[1.0, 0.0]]]}),
-            ("scenario", "pa", {"order": 2}),
             # split 2 on 2500 samples leaves no training row once the depth-5 line is full
             ("scenario", "train_fraction", 0.001),
             # no more samples than the depth-5 delay line holds
             ("scenario", "n_samples", 5),
+            ("scenario", "pa", {"taps": [[[1.0, 0.0]]]}),
+            ("scenario", "pa", {"order": 2}),
         ],
     )
     def test_bad_value_rejected_at_load(self, tmp_path, capsys, section, field, value):

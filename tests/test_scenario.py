@@ -197,38 +197,6 @@ class TestPersistence:
             load_dataset(path)
 
 
-class TestPowerConvention:
-    def test_total_power_target_shifts_per_antenna_level(self):
-        base = small_scenario()
-        total = small_scenario(target_rx_power_total=True)
-        ds_mean = generate_dataset(base, seed=8)
-        ds_total = generate_dataset(total, seed=8)
-        # summed over the 2 rx antennas, the total-convention capture hits
-        # the target; per-antenna it sits 10*log10(n_rx) lower
-        per_antenna = measure_power_dbm(ds_total.rx)
-        assert per_antenna == pytest.approx(-52.1 - 10 * np.log10(2), abs=0.05)
-        assert measure_power_dbm(ds_mean.rx) == pytest.approx(-52.1, abs=0.05)
-
-
-class TestPathLoss:
-    UNCALIBRATED = dict(
-        target_rx_power_dbm=None,
-        noise_enabled=False,
-        adc_enabled=False,
-        pathloss_exponent=2.0,
-    )
-
-    def test_drawn_channel_scaled_by_distance(self):
-        # amplitude distance**(-exponent/2): 4**-1 on every tap, so on every label
-        near = generate_dataset(small_scenario(**self.UNCALIBRATED), seed=4)
-        far = generate_dataset(
-            small_scenario(pathloss_distance_m=4.0, **self.UNCALIBRATED), seed=4
-        )
-        assert_array_equal(far.tx, near.tx)
-        assert_array_equal(far.rx, 0.25 * near.rx)
-        assert far.label_scale == 0.25 * near.label_scale
-
-
 class TestIqDefaults:
     @pytest.mark.parametrize(
         "iq, expected",

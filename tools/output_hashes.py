@@ -7,8 +7,9 @@ every ``CancellerResult`` field, history and weight array of tc, pc (P=3), nnc a
 hc (3 epochs) on a small 2x2 scenario (seeds 1-2) and the default 4x4 one (seed 1);
 ``sweep`` on P and nh; and the CLI's exit status, stdout, stderr and file bytes.
 Datasets alone are hashed for the scenario values that the default config does not
-exercise: uncalibrated path loss, a fixed ADC full scale, per-antenna impairment
-lists, a partial ``iq`` object and the ADC switched off.
+exercise: no received-power calibration (at the default and at a 30 dBm transmit
+level), a fixed ADC full scale, per-antenna impairment lists, a partial ``iq``
+object and the ADC switched off.
 """
 
 import contextlib
@@ -101,10 +102,10 @@ def command_line() -> None:
 
 def scenario_values() -> None:
     """Datasets of small scenarios, built from JSON-shaped dicts as a config file is."""
-    uncalibrated = {"target_rx_power_dbm": None, "pathloss_distance_m": 4.0}
+    uncalibrated = {"target_rx_power_dbm": None}
     variants = {
-        "pathloss_e2": {**uncalibrated, "pathloss_exponent": 2.0},
-        "pathloss_e3.5": {**uncalibrated, "pathloss_distance_m": 1.3, "pathloss_exponent": 3.5},
+        "uncalibrated": uncalibrated,
+        "uncalibrated_tx30": {**uncalibrated, "tx_power_dbm": 30},
         "fixed_adc": {"noise_enabled": False, "adc_full_scale": 5e-4, "adc_bits": 8},
         "per_antenna": {
             "iq": [{"gain": 1.02, "phase_rad": 0.01}, {"gain": 0.97, "phase_rad": -0.03}],
