@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import fcntl
 import io
 import os
@@ -124,7 +125,7 @@ def _load_run_config(path: str, seed_override: int | None) -> RunConfig:
         raise CliError(f"config: file not found: {path}")
     cfg = load_config(path)
     if seed_override is not None:
-        cfg.seed = seed_override
+        cfg = dataclasses.replace(cfg, seed=seed_override)  # checked like the config's
     return cfg
 
 

@@ -13,8 +13,8 @@ The arithmetic follows the dtype of the model's ``flat``: float32 for a
 float32 model, float64 for any other, and inputs are cast to it. ``train``
 steps a float32 copy of its float64 model, casting each batch and each
 evaluation chunk as it is gathered, and sums the losses in float64; the
-caller's model and the returned one hold the float32 weights upcast
-exactly to float64, so saved models stay float64.
+returned model holds the float32 weights upcast exactly to float64, so
+saved models stay float64.
 """
 
 from __future__ import annotations
@@ -27,6 +27,10 @@ from . import container
 from .config import TrainSettings
 
 MODEL_KIND = "fnn-model"
+# Adam's published defaults (Kingma & Ba, ICLR 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 EVAL_ROWS = 2048  # rows per evaluation forward call; hidden array 4.9 MB at 300 units
 
 
@@ -201,25 +205,27 @@ def adam_step(
 ) -> tuple[FnnModel, AdamState]:
     """One bias-corrected Adam update. Mutates and returns model and state.
 
-    Kingma & Ba, "Adam: A Method for Stochastic Optimization", ICLR 2015.
-    The bias corrections are applied as reciprocals ``c1 = 1/(1-beta1^t)``
-    and ``c2 = 1/(1-beta2^t)``; trained weights depend on this form, and
-    on the order of the operations below, in their last bits.
+    Kingma & Ba, "Adam: A Method for Stochastic Optimization", ICLR 2015,
+    with their ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPSILON``; of
+    ``cfg`` only the learning rate is read. The bias corrections are
+    applied as reciprocals ``c1 = 1/(1-beta1^t)`` and ``c2 = 1/(1-beta2^t)``;
+    trained weights depend on this form, and on the order of the
+    operations below, in their last bits.
     """
     state.t += 1
-    c1 = 1.0 / (1.0 - cfg.beta1**state.t)
-    c2 = 1.0 / (1.0 - cfg.beta2**state.t)
+    c1 = 1.0 / (1.0 - ADAM_BETA1**state.t)
+    c2 = 1.0 / (1.0 - ADAM_BETA2**state.t)
     g, m, v, buf = grads.flat, state.m, state.v, state.scratch
-    m *= cfg.beta1
-    np.multiply(g, 1.0 - cfg.beta1, out=buf)
+    m *= ADAM_BETA1
+    np.multiply(g, 1.0 - ADAM_BETA1, out=buf)
     m += buf
-    v *= cfg.beta2
+    v *= ADAM_BETA2
     np.multiply(g, g, out=buf)
-    buf *= 1.0 - cfg.beta2
+    buf *= 1.0 - ADAM_BETA2
     v += buf
     np.multiply(v, c2, out=buf)
     np.sqrt(buf, out=buf)
-    buf += cfg.epsilon
+    buf += ADAM_EPSILON
     np.divide(m, buf, out=buf)
     buf *= cfg.learning_rate * c1
     model.flat -= buf
@@ -266,9 +272,8 @@ def train(
     steps update a float32 copy of ``model``; each batch and each evaluation
     chunk is cast from the float64 rows as it is gathered, so no float32
     copy of the training set is made. The returned model carries the
-    weights of the epoch with the lowest test loss; the input model is
-    trained in place to the final epoch. Both hold the float32 weights in
-    ``model``'s dtype.
+    weights of the epoch with the lowest test loss, as float32 weights in
+    ``model``'s dtype; ``model`` itself is only read.
     """
     x_train = np.ascontiguousarray(x_train, dtype=np.float64)
     y_train = np.ascontiguousarray(y_train, dtype=np.float64)
@@ -300,7 +305,6 @@ def train(
             best_model = work.copy()
             best_epoch = epoch
 
-    model.flat[:] = work.flat  # an exact upcast, into the caller's views
     best = work if best_model is None else best_model
     return TrainResult(
         model=FnnModel(*(p.astype(model.flat.dtype) for p in best.params())),

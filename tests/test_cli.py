@@ -71,8 +71,7 @@ class TestConfig:
         assert sc.target_rx_power_dbm == -52.1
         assert sc.awgn_power_dbm == -90.0
         assert sc.adc_bits == 12
-        assert sc.ofdm.sample_rate_hz == 120e6
-        assert sc.ofdm.bandwidth_hz == 13e6
+        assert (sc.ofdm.fft_size, sc.ofdm.occupied_subcarriers) == (1024, 111)
         cfg = RunConfig()
         assert cfg.canceller.order == 3
         assert cfg.training.batch_size == 32
@@ -89,20 +88,34 @@ class TestConfig:
             ("scenario", "pathloss_distance_m", 1.0),
             ("scenario", "pathloss_exponent", 0.0),
             ("training", "seed", None),
+            ("training", "beta1", 0.9),
+            ("training", "beta2", 0.999),
+            ("training", "epsilon", 1e-8),
+            ("scenario.ofdm", "qam_order", 16),
+            ("scenario.ofdm", "sample_rate_hz", 120e6),
+            ("scenario.ofdm", "bandwidth_hz", 13e6),
         ],
     )
     def test_unknown_field_named_in_error(self, tmp_path, capsys, section, name, value):
         path = small_config(tmp_path)
         with open(path) as fh:
             cfg = json.load(fh)
-        cfg[section][name] = value
+        where = cfg
+        for key in section.split("."):
+            where = where[key]
+        where[name] = value
         with open(path, "w") as fh:
             json.dump(cfg, fh)
-        out = tmp_path / "ds.bin"
-        assert run_cli("generate", "--config", path, "--out", str(out)) == 2
-        err = capsys.readouterr().err
-        assert err == f"error: ConfigError: {section}: unknown field '{name}'\n"
-        assert not out.exists()
+        out, ds = tmp_path / "out", str(tmp_path / "ds.bin")
+        for argv in (
+            ["generate"],
+            ["run", "--dataset", ds, "--canceller", "tc"],
+            ["sweep", "--dataset", ds, "--axis", "P", "--values", "1"],
+        ):
+            assert run_cli(*argv, "--config", path, "--out", str(out)) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: ConfigError: {section}: unknown field '{name}'\n"
+            assert not out.exists()
 
     def test_readme_config_is_the_defaults(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -135,20 +148,20 @@ class TestGenerate:
             ("scenario", "n_rx", True),
             ("scenario", "tx_power_dbm", float("nan")),
             ("canceller", "order", 4),
-            ("training", "beta1", 1.0),
+            ("scenario", "n_tx", 0),
             ("scenario", "n_rx", 0),
             ("scenario", "train_fraction", 1.5),
             ("scenario", "train_fraction", 0.0001),
             ("scenario", "n_samples", 100),  # with the depth-5 line, short of one symbol
             ("scenario", "ofdm", {"cp_len": 2000}),
-            ("scenario", "ofdm", {"qam_order": 8}),
+            ("scenario", "n_paths", 0),
             ("scenario", "ofdm", {"occupied_subcarriers": 2000}),
-            ("scenario", "ofdm", {"bandwidth_hz": 20e6}),
+            ("canceller", "hc_hidden", 0),
             ("training", "batch_size", 0),
             ("training", "learning_rate", -1e-3),
             ("training", "epochs", 0),
-            ("training", "beta2", 1.0),
-            ("training", "epsilon", 0.0),
+            ("scenario", "ofdm", {"fft_size": 0}),
+            ("scenario", "noise_enabled", 1),
             # once checked only by the models at generate, without the field's name
             ("scenario", "adc_bits", 0),
             ("scenario", "adc_full_scale", -1.0),
@@ -294,6 +307,23 @@ class TestGenerate:
         assert ds_a.tx.shape == ds_b.tx.shape
         assert ds_a.rx.shape == ds_b.rx.shape
         assert a.read_bytes() != b.read_bytes()
+
+    def test_negative_seed_rejected_at_load_by_every_command(self, tmp_path, capsys):
+        ds, out = str(tmp_path / "ds.bin"), tmp_path / "out"
+        cfg = small_config(tmp_path)
+        assert run_cli("generate", "--config", cfg, "--out", ds) == 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**json.loads(Path(cfg).read_text()), "seed": -1}))
+        for argv in (
+            ["generate"],
+            ["run", "--dataset", ds, "--canceller", "tc"],
+            ["sweep", "--dataset", ds, "--axis", "P", "--values", "1", "--no-train"],
+        ):
+            for config in (["--config", str(bad)], ["--config", cfg, "--seed", "-1"]):
+                capsys.readouterr()
+                assert run_cli(*argv, *config, "--out", str(out)) == 2
+                assert capsys.readouterr().err == "error: ConfigError: seed: must be >= 0\n"
+                assert not out.exists()
 
     def test_overwrite_refused_without_force(self, tmp_path, capsys):
         cfg = small_config(tmp_path)

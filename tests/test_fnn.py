@@ -282,7 +282,7 @@ class TestTrain:
         before = [p.copy() for p in model.params()]
         cfg = TrainSettings(epochs=3, learning_rate=0.0)
         fit = train(model, x, y, x, y, cfg, shuffle_seed=1)
-        for p, b in zip(model.params(), before):
+        for p, b in zip(fit.model.params(), before):
             assert_array_equal(p, b.astype(np.float32))  # the float32 rounding
         assert len(set(fit.train_losses)) == 1  # constant loss
 
@@ -339,16 +339,17 @@ class TestTrain:
         model = as_float32(FnnModel.initialize(4, 5, 2, seed=7))
         state = AdamState.for_model(model)
         shuffle = np.random.default_rng(8)
-        losses = []
+        losses, epochs = [], []
         for _ in range(cfg.epochs):
             order = shuffle.permutation(len(x))
             for start in range(0, len(x), cfg.batch_size):
                 rows = order[start : start + cfg.batch_size]
                 adam_step(model, state, backward(model, x[rows], y[rows]), cfg)
             losses.append(loss_mse(forward(model, x), y))
+            epochs.append(model.copy())
         assert state.t == 3 * 5
         assert fit.train_losses == losses
-        for a, b in zip(trained.params(), model.params()):
+        for a, b in zip(fit.model.params(), epochs[fit.best_epoch - 1].params()):
             assert_array_equal(a, b.astype(np.float64))
 
     def test_no_shuffled_copy_of_the_training_set(self, rng):
@@ -380,23 +381,21 @@ class TestTrain:
         model = FnnModel.initialize(4, 8, 2, seed=3)
         cfg = TrainSettings(epochs=1, batch_size=64, learning_rate=1e-2)
         fit = train(model, x, y, x_test, y_test, cfg, shuffle_seed=4)
-        stepped = as_float32(model)
+        stepped = as_float32(fit.model)
         assert fit.train_losses == [loss_mse(forward(stepped, x), y)]
         assert fit.test_losses == [loss_mse(forward(stepped, x_test), y_test)]
 
-    def test_caller_model_trained_in_place(self, rng):
+    def test_caller_model_left_unchanged(self, rng):
         x = rng.standard_normal((40, 4))
         y = rng.standard_normal((40, 2))
         model = FnnModel.initialize(4, 5, 2, seed=7)
         initial = model.copy()
-        views = model.params()
         cfg = TrainSettings(epochs=2, batch_size=8, learning_rate=1e-2)
         fit = train(model, x, y, x, y, cfg, shuffle_seed=8)
-        assert fit.train_losses[-1] == loss_mse(forward(as_float32(model), x), y)
-        for view, p, p0 in zip(views, model.params(), initial.params()):
-            assert view is p
-            assert not np.array_equal(p, p0)
+        for p, p0 in zip(model.params(), initial.params()):
+            assert_array_equal(p, p0)
         assert not np.shares_memory(fit.model.flat, model.flat)
+        assert not np.array_equal(fit.model.flat, initial.flat)
 
 
 class TestDtype:
@@ -411,7 +410,7 @@ class TestDtype:
         for m in (fit.model, model):
             assert m.flat.dtype == np.float64
             assert all(p.dtype == np.float64 for p in m.params())
-            assert_array_equal(m.flat, m.flat.astype(np.float32))  # exact upcasts
+        assert_array_equal(fit.model.flat, fit.model.flat.astype(np.float32))  # exact upcasts
         path = tmp_path / "model.bin"
         save_model(fit.model, path, extra_meta={})
         loaded, _ = load_model(path)

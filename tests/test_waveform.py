@@ -8,10 +8,10 @@ from xlic.channel import measure_power_dbm
 from xlic.waveform import OfdmConfig, generate_ofdm
 
 
-def band_energy_fraction(x: np.ndarray, sample_rate: float, half_band: float) -> float:
-    """Periodogram oracle: fraction of energy within +-half_band of DC."""
+def band_energy_fraction(x: np.ndarray, half_band: float) -> float:
+    """Periodogram oracle: fraction of energy within +-half_band (cycles/sample) of DC."""
     spectrum = np.abs(np.fft.fft(x, axis=-1)) ** 2
-    freqs = np.fft.fftfreq(x.shape[-1], d=1.0 / sample_rate)
+    freqs = np.fft.fftfreq(x.shape[-1])
     mask = np.abs(freqs) <= half_band
     return float(spectrum[..., mask].sum() / spectrum.sum())
 
@@ -21,17 +21,9 @@ class TestOfdmConfig:
         cfg = OfdmConfig()
         assert cfg.symbol_len == 1024 + 72
 
-    def test_band_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="5%"):
-            OfdmConfig(occupied_subcarriers=200)
-
     def test_cp_length_bound(self):
         with pytest.raises(ValueError, match="cp_len"):
             OfdmConfig(cp_len=1024)
-
-    def test_qam_order_must_be_square(self):
-        with pytest.raises(ValueError, match="qam_order"):
-            OfdmConfig(qam_order=8)
 
 
 class TestGenerateOfdm:
@@ -47,9 +39,20 @@ class TestGenerateOfdm:
         assert_array_equal(a, b)
 
     def test_occupied_band_energy(self):
+        # 55.5 / 1024 cycles per sample: 6.5 MHz at the reference 120 MHz
         x = generate_ofdm(self.CFG, 1, 50000, 0.0, seed=9)
-        frac = band_energy_fraction(x[0], self.CFG.sample_rate_hz, 6.5e6)
-        assert frac >= 0.99
+        half_band = self.CFG.occupied_subcarriers / 2 / self.CFG.fft_size
+        assert band_energy_fraction(x[0], half_band) >= 0.99
+
+    def test_occupied_bins_are_16_qam(self):
+        # one symbol without its cyclic prefix: 111 draws from the alphabet
+        x = generate_ofdm(self.CFG, 1, self.CFG.symbol_len, 0.0, seed=4)
+        grid = np.fft.fft(x[0, self.CFG.cp_len :])
+        k = self.CFG.occupied_subcarriers
+        bins = (np.arange(k) - k // 2) % self.CFG.fft_size
+        points = grid[bins] / np.sqrt(np.mean(np.abs(grid[bins]) ** 2))
+        assert len(np.unique(np.round(points, 6))) == 16
+        assert np.abs(np.delete(grid, bins)).max() < 1e-9 * np.abs(grid).max()
 
     def test_antenna_streams_uncorrelated(self):
         x = generate_ofdm(self.CFG, 2, 50000, 0.0, seed=13)
