@@ -2,9 +2,11 @@
 
 The channel between the interfering and the interfered base station is a
 bank of FIR filters, one per (rx, tx) antenna pair, with Rayleigh
-(circularly-symmetric complex Gaussian) taps. The receive side adds AWGN
-at a configured power and quantizes each rail with a mid-rise ADC. Power
-values are in dBm throughout, with the linear unit treated as watts.
+(circularly-symmetric complex Gaussian) taps. One real gain on the
+received stack calibrates its mean power to a target; propagation is
+linear, so that is the same as scaling every tap. The receive side adds
+AWGN at a configured power and quantizes each rail with a mid-rise ADC.
+Power values are in dBm throughout, with the linear unit treated as watts.
 """
 
 from __future__ import annotations
@@ -97,13 +99,8 @@ def propagate(tx: np.ndarray, channel: MultipathChannel) -> np.ndarray:
 
 
 def add_awgn(x: np.ndarray, power_dbm: float, seed) -> np.ndarray:
-    """Add circularly-symmetric complex AWGN of total power ``power_dbm``.
-
-    ``-inf`` adds no noise and returns a copy of ``x``.
-    """
+    """Add circularly-symmetric complex AWGN of total power ``power_dbm``."""
     x = np.asarray(x, dtype=np.complex128)
-    if power_dbm == -np.inf:
-        return x.copy()
     rng = np.random.default_rng(seed)
     sigma = np.sqrt(dbm_to_watts(power_dbm) / 2.0)
     w = sigma * (rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape))
@@ -131,22 +128,15 @@ def quantize_adc(x: np.ndarray, bits: int, full_scale: float) -> np.ndarray:
     return rail(x.real) + 1j * rail(x.imag)
 
 
-def calibrate_channel_gain(
-    channel: MultipathChannel,
-    probe_tx: np.ndarray,
-    target_rx_power_dbm: float,
-) -> tuple[MultipathChannel, float]:
-    """Scale the channel so the probe's mean received power hits the target.
+def calibrate_channel_gain(rx: np.ndarray, target_rx_power_dbm: float) -> float:
+    """Real gain that brings the received stack's mean power to the target.
 
-    ``probe_tx`` is the transmit-chain output (per-antenna streams) used
-    to measure the received power; one global real factor is applied to
-    every tap. Returns ``(scaled_channel, factor)``. The closed loop
-    ``measure_power_dbm(propagate(probe_tx, scaled))`` lands on the target
-    to float precision, well inside the +/-0.05 dB contract.
+    ``rx`` is the propagated capture, shape ``(n_rx, n)``. Propagation is
+    linear, so ``rx * gain`` equals propagating through the channel with
+    every tap scaled by ``gain``. The closed loop
+    ``measure_power_dbm(rx * gain)`` lands on the target to float
+    precision, well inside the +/-0.05 dB contract.
     """
-    probe_tx = np.atleast_2d(np.asarray(probe_tx, dtype=np.complex128))
-    if not np.any(probe_tx):
+    if not np.any(rx):
         raise ValueError("calibration probe has zero energy")
-    measured = measure_power_dbm(propagate(probe_tx, channel))
-    factor = 10.0 ** ((target_rx_power_dbm - measured) / 20.0)
-    return MultipathChannel(channel.taps * factor), factor
+    return 10.0 ** ((target_rx_power_dbm - measure_power_dbm(rx)) / 20.0)

@@ -365,6 +365,6 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ContainerError, ValueError, OSError) as exc:
+    except (ConfigError, ContainerError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channel import dbm_to_watts
 from .rf_chain import IqImbalance, PaModel
 from .waveform import OfdmConfig
 
@@ -153,7 +154,7 @@ class ScenarioSettings:
 
     def pa_models(self) -> list[PaModel]:
         """The PA of each tx antenna, its unit-power taps moved to the transmit level."""
-        drive_rms = np.sqrt(10.0 ** ((self.tx_power_dbm - 30.0) / 10.0))
+        drive_rms = np.sqrt(dbm_to_watts(self.tx_power_dbm))
         return [_rescale_pa(pa.build(), drive_rms) for pa in self._per_antenna("pa")]
 
     @property

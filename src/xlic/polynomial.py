@@ -172,6 +172,8 @@ def ls_fit(
     labels = np.atleast_2d(np.asarray(labels, dtype=np.complex128))
     gram = np.zeros((spec.n_terms, spec.n_terms), dtype=np.complex128)
     rhs = np.zeros((labels.shape[0], spec.n_terms), dtype=np.complex128)
+    gram_re, gram_im = gram.real, gram.imag  # views, accumulated in place
+    part = np.empty((spec.n_terms, spec.n_terms))
     rows = 0
     for block in blocks:
         y = labels[:, rows : rows + block.shape[0]]
@@ -179,10 +181,12 @@ def ls_fit(
         if y.shape[1] < block.shape[0]:
             raise ValueError(f"labels have {labels.shape[1]} rows, basis has more")
         # block^H block by one real A^T A (BLAS dsyrk): in the float64 view the
-        # columns are (re, im) pairs, and the Gram's parts are sums of 2x2 sub-blocks.
+        # columns are (re, im) pairs, and the Gram's parts are sums of 2x2 sub-blocks,
+        # folded in through one real buffer.
         re = np.ascontiguousarray(block, dtype=np.complex128).view(np.float64)
         h = re.T @ re
-        gram += h[0::2, 0::2] + h[1::2, 1::2] + 1j * (h[0::2, 1::2] - h[1::2, 0::2])
+        gram_re += np.add(h[0::2, 0::2], h[1::2, 1::2], out=part)
+        gram_im += np.subtract(h[0::2, 1::2], h[1::2, 0::2], out=part)
         rhs += y.conj() @ block  # (block^H y)^H, accumulated conjugated
     if rows < labels.shape[1]:
         raise ValueError(f"labels have {labels.shape[1]} rows, basis has {rows}")

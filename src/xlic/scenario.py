@@ -1,10 +1,10 @@
 """End-to-end dataset factory for canceller training and evaluation.
 
-Composes waveform -> RF chain -> channel (-> AWGN -> ADC) into aligned
-(transmit data, received interference) records, with max-abs
-normalization constants computed on the training partition, an 80/20
-train/test split, and bit-exact persistence in the shared container
-format.
+Composes waveform -> RF chain -> channel (-> calibration gain -> AWGN
+-> ADC) into aligned (transmit data, received interference) records,
+with max-abs normalization constants computed on the training
+partition, an 80/20 train/test split, and bit-exact persistence in the
+shared container format.
 
 Alignment convention: ``rx[:, n]`` depends on ``tx[:, n - m]`` for
 ``m in [0, window_depth)`` where ``window_depth = pa_memory + n_paths``.
@@ -106,10 +106,14 @@ class CliDataset:
         return self.tx.shape[1]
 
 
+@np.errstate(over="raise", invalid="raise")
 def generate_dataset(scenario: ScenarioSettings, seed: int) -> CliDataset:
     """Simulate one clean-period capture and package it as a dataset.
 
-    Deterministic given ``seed``.
+    Deterministic given ``seed``. The capture is propagated once; the
+    calibration scales the received stack, which equals scaling every
+    channel tap (``meta["channel_scale"]``). A scenario value that makes
+    a step overflow or go invalid raises an ``ArithmeticError``.
     """
     depth = scenario.window_depth
     n_transient = depth - 1
@@ -131,17 +135,14 @@ def generate_dataset(scenario: ScenarioSettings, seed: int) -> CliDataset:
         scenario.n_tx,
         scenario.n_paths,
     )
+    rx = propagate(amplified, channel)
     channel_scale = 1.0
     target = scenario.target_rx_power_dbm
     if target is not None:
-        channel, channel_scale = calibrate_channel_gain(channel, amplified, target)
-
-    rx = propagate(amplified, channel)
-    rx = add_awgn(
-        rx,
-        scenario.awgn_power_dbm if scenario.noise_enabled else -np.inf,
-        derive_rng(seed, "noise"),
-    )
+        channel_scale = calibrate_channel_gain(rx, target)
+        rx *= channel_scale
+    if scenario.noise_enabled:
+        rx = add_awgn(rx, scenario.awgn_power_dbm, derive_rng(seed, "noise"))
 
     full_scale = scenario.adc_full_scale
     if scenario.adc_enabled:

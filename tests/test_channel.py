@@ -142,30 +142,36 @@ class TestCalibration:
         return rng.standard_normal((n_tx, n)) + 1j * rng.standard_normal((n_tx, n))
 
     def test_closed_loop_hits_target(self, rng):
-        ch = draw_channel(11, 2, 2, 3)
-        probe = self._probe(rng)
-        scaled, _ = calibrate_channel_gain(ch, probe, -52.1)
-        assert measure_power_dbm(propagate(probe, scaled)) == pytest.approx(
-            -52.1, abs=0.05
-        )
+        rx = propagate(self._probe(rng), draw_channel(11, 2, 2, 3))
+        gain = calibrate_channel_gain(rx, -52.1)
+        assert measure_power_dbm(rx * gain) == pytest.approx(-52.1, abs=0.05)
 
     def test_idempotent(self, rng):
-        ch = draw_channel(11, 2, 2, 3)
-        probe = self._probe(rng)
-        scaled, _ = calibrate_channel_gain(ch, probe, -60.0)
-        _, factor = calibrate_channel_gain(scaled, probe, -60.0)
+        rx = propagate(self._probe(rng), draw_channel(11, 2, 2, 3))
+        calibrated = rx * calibrate_channel_gain(rx, -60.0)
+        factor = calibrate_channel_gain(calibrated, -60.0)
         assert 0.999 <= factor <= 1.001
 
     def test_invariant_to_prior_tap_scaling(self, rng):
         ch = draw_channel(11, 2, 2, 3)
         probe = self._probe(rng)
-        a, _ = calibrate_channel_gain(ch, probe, -55.0)
-        b, _ = calibrate_channel_gain(MultipathChannel(ch.taps * 2.0), probe, -55.0)
-        assert measure_power_dbm(propagate(probe, a)) == pytest.approx(
-            measure_power_dbm(propagate(probe, b))
-        )
+        a = propagate(probe, ch)
+        b = propagate(probe, MultipathChannel(ch.taps * 2.0))
+        a *= calibrate_channel_gain(a, -55.0)
+        b *= calibrate_channel_gain(b, -55.0)
+        assert measure_power_dbm(a) == pytest.approx(measure_power_dbm(b))
 
     def test_zero_probe_rejected(self):
-        ch = draw_channel(1, 1, 1, 1)
         with pytest.raises(ValueError, match="zero energy"):
-            calibrate_channel_gain(ch, np.zeros((1, 10), dtype=complex), -50.0)
+            calibrate_channel_gain(np.zeros((1, 10), dtype=complex), -50.0)
+
+    def test_gain_on_the_stack_equals_gain_on_the_taps(self, rng):
+        # the calibration scales the received stack in place of every tap
+        ch = draw_channel(11, 2, 2, 3)
+        tx = rng.standard_normal((2, 500)) + 1j * rng.standard_normal((2, 500))
+        gain = 3.7e-4
+        assert_allclose(
+            propagate(tx, MultipathChannel(ch.taps * gain)),
+            gain * propagate(tx, ch),
+            rtol=1e-12,
+        )

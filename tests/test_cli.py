@@ -6,6 +6,7 @@ import re
 import stat
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -240,6 +241,44 @@ class TestGenerate:
         assert run_cli("generate", "--config", cfg, "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: ConfigError: {where}")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            {"adc_bits": 1024},
+            {"tx_power_dbm": 5000},
+            {"awgn_power_dbm": 5000},
+            {"tx_power_dbm": 3000},
+            {"iq": {"gain": 1e300}},
+            {"pa": {"order": 1, "memory": 0, "taps": [[[1e300, 0.0]]]}},
+            {"adc_full_scale": 1e-320},
+            {"adc_full_scale": 1e308},
+            {"target_rx_power_dbm": 7000},
+        ],
+        ids=[
+            "adc_bits",
+            "tx_power",
+            "awgn_power",
+            "tx_power_warns",
+            "iq_gain",
+            "pa_tap",
+            "tiny_full_scale",
+            "huge_full_scale",
+            "target_power",
+        ],
+    )
+    def test_out_of_range_value_ends_in_one_error_line(self, tmp_path, capsys, scenario):
+        # values of the right type whose size makes a generation step overflow
+        out = tmp_path / "ds.bin"
+        cfg = small_config(tmp_path, **scenario)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("generate", "--config", cfg, "--out", str(out)) == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert not out.exists()
 

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import ideal_rf, small_ofdm, small_scenario
+from xlic import channel, scenario
 from xlic.channel import draw_channel, measure_power_dbm
 from xlic.config import ConfigError, PaSettings, RunConfig, ScenarioSettings, derive_rng
 from xlic.container import ContainerChecksumError
@@ -82,6 +83,24 @@ class TestGenerateDataset:
         for n in (depth - 1, depth, 200, ds.n_samples - 1):
             window = ds.tx[0, n - depth + 1 : n + 1][::-1]
             assert ds.rx[0, n] == pytest.approx(np.dot(eff, window), rel=1e-10)
+
+    @pytest.mark.parametrize("noise_enabled", [True, False])
+    def test_propagates_once_and_adds_noise_only_when_enabled(
+        self, monkeypatch, noise_enabled
+    ):
+        # the calibration scales the propagated stack, not a second propagation
+        calls = []
+        targets = ((scenario, "propagate"), (channel, "propagate"), (scenario, "add_awgn"))
+        for module, name in targets:
+
+            def counted(*args, _original=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        ds = generate_dataset(small_scenario(noise_enabled=noise_enabled), seed=5)
+        assert calls == ["propagate", "add_awgn"][: 1 + noise_enabled]
+        assert ds.meta["channel_scale"] != 1.0
 
     def test_config_inconsistency_rejected(self):
         # checked when the settings are made, before any generation
