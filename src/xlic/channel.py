@@ -135,8 +135,12 @@ def calibrate_channel_gain(rx: np.ndarray, target_rx_power_dbm: float) -> float:
     linear, so ``rx * gain`` equals propagating through the channel with
     every tap scaled by ``gain``. The closed loop
     ``measure_power_dbm(rx * gain)`` lands on the target to float
-    precision, well inside the +/-0.05 dB contract.
+    precision, well inside the +/-0.05 dB contract. A zero-energy stack, or
+    a gain that is not positive and finite, raises ``ValueError``.
     """
     if not np.any(rx):
         raise ValueError("calibration probe has zero energy")
-    return 10.0 ** ((target_rx_power_dbm - measure_power_dbm(rx)) / 20.0)
+    gain = 10.0 ** ((target_rx_power_dbm - measure_power_dbm(rx)) / 20.0)
+    if not 0.0 < gain < np.inf:
+        raise ValueError(f"calibration gain {float(gain)} is not positive and finite")
+    return gain

@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config
+from .config import RunConfig, load_config
 from .container import ContainerError, write_atomic
 from .fnn import save_model
 from .harness import CANCELLERS, SWEEP_AXES, CancellerResult, run_canceller, sweep
@@ -365,6 +365,6 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ContainerError, ValueError, ArithmeticError, OSError) as exc:
+    except (ContainerError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

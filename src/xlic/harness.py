@@ -14,10 +14,11 @@ residual power in dBm and the canceller's parameter/complexity counts.
     nnc  feedforward network mapping regressor windows to I/Q outputs
     hc   tc first, then a network trained on the stage-1 residual
 
-Each idea has one implementation: ``_linear_fit`` is the LS fit of tc,
-pc and hc's stage 1; ``_fit_network`` trains and scores the networks of
-nnc and hc; the ``CANCELLERS`` table names every canceller with its counts,
-for scored rows and counts-only sweeps alike, and its settings field.
+Each idea has one implementation: ``ls_fit`` is the LS fit of tc, pc and
+hc's stage 1, and ``_linear_fit`` builds tc's and pc's rows in blocks;
+``_fit_network`` scales, trains and scores the networks of nnc and hc;
+the ``CANCELLERS`` table names every canceller with its counts, for
+scored rows and counts-only sweeps alike, and its settings field.
 
 A perfectly cancelled window (zero residual) is reported as "above
 measurable range" (infinite ratio) rather than a number.
@@ -187,18 +188,15 @@ def _basis_rows(ds: CliDataset, spec: BasisSpec, start: int, stop: int):
         yield build_basis_matrix(ds.tx[:, a : b + spec.depth - 1], spec)
 
 
-def _linear_fit(ds: CliDataset, spec: BasisSpec, basis: np.ndarray | None = None):
+def _linear_fit(ds: CliDataset, spec: BasisSpec):
     """LS-fit ``spec``'s basis on the training rows; estimate the test rows.
 
-    Without a prebuilt ``basis`` the rows are built block by block, so the
-    fit holds one block of the basis at a time, never all of it.
+    The rows are built block by block, so the fit holds one block of the
+    basis at a time, never all of it.
     """
     labels, split_row = _aligned_labels(ds)
-    if basis is None:
-        train = _basis_rows(ds, spec, 0, split_row)
-        test = _basis_rows(ds, spec, split_row, labels.shape[1])
-    else:
-        train, test = basis[:split_row], [basis[split_row:]]
+    train = _basis_rows(ds, spec, 0, split_row)
+    test = _basis_rows(ds, spec, split_row, labels.shape[1])
     coeffs = ls_fit(train, labels[:, :split_row], spec)
     return coeffs, np.hstack([apply_basis(coeffs, block) for block in test])
 
@@ -234,13 +232,15 @@ def _fit_network(
 ) -> CancellerResult:
     """Train a network from ``x`` to ``target / scale``; score ``base`` plus its output.
 
-    ``x`` (scaled regressor windows) and ``target`` are aligned with the
-    labels. ``base`` is the estimate over the test rows that the network's
-    output adds to: 0 for nnc, the stage-1 estimate for hc, whose network
-    starts from ``residual=True``. The per-epoch C_dB history follows from
-    the test losses, which are mean squared errors in units of ``scale``.
+    ``x`` (regressor windows, divided here by ``ds.input_scale`` in place)
+    and ``target`` are aligned with the labels. ``base`` is the estimate
+    over the test rows that the network's output adds to: 0 for nnc, the
+    stage-1 estimate for hc, whose network starts from ``residual=True``.
+    The per-epoch C_dB history follows from the test losses, which are
+    mean squared errors in units of ``scale``.
     """
     labels, split_row = _aligned_labels(ds)
+    x /= ds.input_scale
     y = interleave_iq(target) / scale
     model = FnnModel.initialize(
         x.shape[1],
@@ -285,14 +285,12 @@ def _fit_network(
 def run_nnc(ds: CliDataset, n_hidden: int, cfg: TrainSettings) -> CancellerResult:
     """Train and score the network canceller."""
     labels, _ = _aligned_labels(ds)
-    x = build_regressors(ds.tx, ds.window_depth)
-    x /= ds.input_scale
     return _fit_network(
         ds,
         "nnc",
         n_hidden,
         cfg,
-        x,
+        build_regressors(ds.tx, ds.window_depth),
         labels,
         ds.label_scale,
         0.0,
@@ -303,9 +301,10 @@ def run_nnc(ds: CliDataset, n_hidden: int, cfg: TrainSettings) -> CancellerResul
 def run_hc(ds: CliDataset, n_hidden: int, cfg: TrainSettings) -> CancellerResult:
     """Train and score the hybrid canceller.
 
-    Stage 1 is the linear fit of :func:`run_tc`; stage 2 trains the
-    network on the stage-1 residual, normalized by the training-partition
-    residual peak, and the final estimate is the sum of both stages.
+    Stage 1 is :func:`run_tc`'s fit, by ``ls_fit`` on the linear basis
+    that stage 2 then reads as its real windows. Stage 2 trains the network
+    on the stage-1 residual, normalized by the training-partition residual
+    peak, and the final estimate is the sum of both stages.
 
     The network starts from ``FnnModel.initialize(..., residual=True)``:
     zero output weights and zero hidden biases. Its initial output is
@@ -322,18 +321,17 @@ def run_hc(ds: CliDataset, n_hidden: int, cfg: TrainSettings) -> CancellerResult
     labels, split_row = _aligned_labels(ds)
     spec = BasisSpec.linear(ds.n_tx, ds.window_depth)
     basis = build_basis_matrix(ds.tx, spec)
-    coeffs, s_test = _linear_fit(ds, spec, basis)
+    coeffs = ls_fit(basis[:split_row], labels[:, :split_row], spec)
+    s_test = apply_basis(coeffs, basis[split_row:])
     residual = labels - np.hstack([apply_basis(coeffs, basis[:split_row]), s_test])
     residual_scale = float(np.abs(residual[:, :split_row]).max())
-    # Stage 1 is done with the basis; stage 2 reads it as real windows, scaled in place.
-    x = basis.view(np.float64)
-    x /= ds.input_scale
+    # Stage 1 is done with the basis; _fit_network scales it in place as real windows.
     return _fit_network(
         ds,
         "hc",
         n_hidden,
         cfg,
-        x,
+        basis.view(np.float64),
         residual,
         residual_scale,
         s_test,

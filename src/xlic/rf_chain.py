@@ -109,10 +109,7 @@ def apply_pa(x: np.ndarray, pa: PaModel) -> np.ndarray:
     for k, p in enumerate(pa.branch_orders):
         branch = x * mag ** (p - 1) if p > 1 else x
         for m in range(pa.memory + 1):
-            if m == 0:
-                y += pa.taps[k, 0] * branch
-            else:
-                y[..., m:] += pa.taps[k, m] * branch[..., :-m]
+            y[..., m:] += pa.taps[k, m] * branch[..., : max(x.shape[-1] - m, 0)]
     return y
 
 

@@ -165,6 +165,12 @@ class TestCalibration:
         with pytest.raises(ValueError, match="zero energy"):
             calibrate_channel_gain(np.zeros((1, 10), dtype=complex), -50.0)
 
+    def test_underflowing_gain_rejected(self, rng):
+        # a target far below the stack's power would scale the labels to 0
+        rx = propagate(self._probe(rng), draw_channel(11, 2, 2, 3))
+        with pytest.raises(ValueError, match=r"^calibration gain 0\.0 is not positive"):
+            calibrate_channel_gain(rx, -7000.0)
+
     def test_gain_on_the_stack_equals_gain_on_the_taps(self, rng):
         # the calibration scales the received stack in place of every tap
         ch = draw_channel(11, 2, 2, 3)

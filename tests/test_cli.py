@@ -256,6 +256,7 @@ class TestGenerate:
             {"adc_full_scale": 1e-320},
             {"adc_full_scale": 1e308},
             {"target_rx_power_dbm": 7000},
+            {"target_rx_power_dbm": -7000},
         ],
         ids=[
             "adc_bits",
@@ -267,6 +268,7 @@ class TestGenerate:
             "tiny_full_scale",
             "huge_full_scale",
             "target_power",
+            "target_power_underflow",
         ],
     )
     def test_out_of_range_value_ends_in_one_error_line(self, tmp_path, capsys, scenario):

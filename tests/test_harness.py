@@ -169,6 +169,13 @@ class TestRunners:
         hc = run_hc(small_ds, 8, frozen)
         assert hc.c_db == pytest.approx(run_tc(small_ds).c_db, rel=1e-9)
 
+    def test_hc_stage1_is_the_tc_fit_bit_for_bit(self, long_ds):
+        # tc fits from basis blocks, hc from its whole basis: one LS fit
+        tc = run_tc(long_ds)
+        hc = run_hc(long_ds, 8, TrainSettings(epochs=1, learning_rate=1e-3))
+        stage1 = hc.artifacts["stage1"].weights
+        assert stage1.tobytes() == tc.artifacts["coefficients"].weights.tobytes()
+
     def test_hc_builds_the_delay_line_once(self, small_ds, monkeypatch):
         # stage 2 trains on stage 1's linear basis, read as real windows
         calls = []

@@ -98,6 +98,11 @@ class TestPaModel:
         pa = PaModel(order=1, memory=1, taps=np.array([[1.0, 0.5]]))
         assert_allclose(apply_pa(np.array([1.0, 0.0], dtype=complex), pa), [1.0, 0.5])
 
+    def test_input_shorter_than_memory(self):
+        # lags past the input's end contribute nothing, as with zero pre-history
+        pa = PaModel(order=1, memory=3, taps=np.array([[1.0, 0.5, 0.25, 0.125]]))
+        assert_allclose(apply_pa(np.array([1.0, 2.0], dtype=complex), pa), [1.0, 2.5])
+
     def test_linear_pa_superposition(self, rng):
         pa = PaModel(order=1, memory=3, taps=rng.standard_normal((1, 4)) * (0.5 + 0.25j))
         x = rng.standard_normal(50) + 1j * rng.standard_normal(50)
