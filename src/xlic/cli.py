@@ -102,11 +102,15 @@ def _read_csv(path: str, required_fields: list[str]) -> list[dict]:
         raise CliError(f"input: file not found: {path}")
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [f for f in required_fields if f not in header]
-        if missing:
-            raise CliError(f"schema: {path} is missing column '{missing[0]}'")
-        return list(reader)
+        try:
+            header = reader.fieldnames or []
+            rows = list(reader)
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise CliError(f"schema: {path}: {exc}") from None
+    missing = [f for f in required_fields if f not in header]
+    if missing:
+        raise CliError(f"schema: {path} is missing column '{missing[0]}'")
+    return rows
 
 
 def _check_overwrite(path: str, force: bool) -> None:

@@ -202,8 +202,8 @@ class AdamState:
 
 def adam_step(
     model: FnnModel, state: AdamState, grads: Gradients, cfg: TrainSettings
-) -> tuple[FnnModel, AdamState]:
-    """One bias-corrected Adam update. Mutates and returns model and state.
+) -> None:
+    """One bias-corrected Adam update of ``model`` and ``state``, in place.
 
     Kingma & Ba, "Adam: A Method for Stochastic Optimization", ICLR 2015,
     with their ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPSILON``; of
@@ -229,7 +229,6 @@ def adam_step(
     np.divide(m, buf, out=buf)
     buf *= cfg.learning_rate * c1
     model.flat -= buf
-    return model, state
 
 
 @dataclass

@@ -5,7 +5,8 @@ combination of conjugate monomials of delayed transmit samples,
 
     basis_term(x, p, q) = x**q * conj(x)**(p - q),   p odd, 0 <= q <= p,
 
-over memory lags ``0 .. depth-1`` and all tx antennas. With the basis
+over memory lags ``0 .. depth-1`` and all tx antennas;
+:func:`build_basis_matrix` states the column order. With the basis
 depth equal to PA memory + path count and the order matching the PA, the
 composed transmit chain is exactly inside the span, so noiseless LS
 identification drives the residual to numerical zero.
@@ -39,6 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import container
 
@@ -65,11 +67,11 @@ def basis_term(x, p: int, q: int):
 
 @dataclass(frozen=True)
 class BasisSpec:
-    """Term layout of the polynomial basis for one interfering BS.
+    """Term set of the polynomial basis for one interfering BS.
 
-    ``terms`` enumerates ``(antenna, p, q, lag)`` antenna-major, then
-    ascending odd ``p``, then ``q = 0..p``, then lag. The linear-only
-    variant keeps just ``(p=1, q=1)`` per antenna/lag.
+    ``pq_pairs`` lists the conjugate monomials per antenna; the linear-only
+    variant keeps just ``(p=1, q=1)``. :func:`build_basis_matrix` states
+    the column order.
     """
 
     n_tx: int
@@ -93,15 +95,6 @@ class BasisSpec:
             return ((1, 1),)
         return tuple(
             (p, q) for p in range(1, self.order + 1, 2) for q in range(p + 1)
-        )
-
-    @property
-    def terms(self) -> tuple[tuple[int, int, int, int], ...]:
-        return tuple(
-            (a, p, q, m)
-            for a in range(self.n_tx)
-            for (p, q) in self.pq_pairs
-            for m in range(self.depth)
         )
 
     @property
@@ -129,9 +122,13 @@ class PolyCoefficients:
 def build_basis_matrix(tx: np.ndarray, spec: BasisSpec) -> np.ndarray:
     """Evaluate every basis term on delayed transmit samples.
 
-    ``tx`` has shape ``(n_tx, n)``; returns a complex matrix with one row
-    per sample index ``n >= depth - 1`` (aligned with
-    ``scenario.build_regressors``) and one column per ``spec.terms`` entry.
+    ``tx`` has shape ``(n_tx, n)``; returns a C-contiguous complex matrix
+    with one row per sample index ``n >= depth - 1`` (aligned with
+    ``scenario.build_regressors``) and ``spec.n_terms`` columns. Column
+    ``(a, p, q, m)``, ordered antenna-major, then ascending odd ``p``, then
+    ``q = 0..p``, then lag ``m``, holds ``basis_term(tx[a], p, q)`` delayed
+    by ``m`` samples. Each monomial's ``depth`` lag columns are one reversed
+    sliding window over it.
     """
     tx = np.atleast_2d(np.asarray(tx, dtype=np.complex128))
     n_tx, n = tx.shape
@@ -140,15 +137,11 @@ def build_basis_matrix(tx: np.ndarray, spec: BasisSpec) -> np.ndarray:
     if n < spec.depth:
         raise ValueError(f"stream length {n} shorter than basis depth {spec.depth}")
     n_rows = n - spec.depth + 1
-    out = np.empty((n_rows, spec.n_terms), dtype=np.complex128)
-    col = 0
-    for a in range(spec.n_tx):
-        for p, q in spec.pq_pairs:
-            monomial = basis_term(tx[a], p, q)
-            for m in range(spec.depth):
-                out[:, col] = monomial[spec.depth - 1 - m : n - m]
-                col += 1
-    return out
+    out = np.empty((n_rows, n_tx, len(spec.pq_pairs), spec.depth), dtype=np.complex128)
+    for a in range(n_tx):
+        for j, (p, q) in enumerate(spec.pq_pairs):
+            out[:, a, j] = sliding_window_view(basis_term(tx[a], p, q), spec.depth)[:, ::-1]
+    return out.reshape(n_rows, spec.n_terms)
 
 
 def ls_fit(

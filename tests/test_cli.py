@@ -691,6 +691,31 @@ class TestReport:
         assert run_cli("report", "--results", str(bad)) != 0
         assert "schema" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["report", "run"])
+    @pytest.mark.parametrize("long_header", [False, True])
+    def test_overlong_field_is_one_error_line(self, pipeline, capsys, command, long_header):
+        cfg, ds, tmp = pipeline
+        big = tmp / "big.csv"
+        header, row = ",".join(RESULT_FIELDS), "tc" + "," * (len(RESULT_FIELDS) - 1)
+        if long_header:
+            header += "," + "x" * 200_000
+        else:
+            row += "x" * 200_000
+        big.write_text(f"{header}\n{row}\n")
+        before = set(tmp.iterdir())
+        capsys.readouterr()
+        if command == "report":
+            argv = ["report", "--results", str(big), "--out-dir", str(tmp / "report")]
+        else:
+            argv = ["run", "--config", cfg, "--dataset", ds, "--canceller", "tc",
+                    "--out", str(big)]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: schema: {big}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        if command == "run":
+            assert set(tmp.iterdir()) == before  # no coefficients file saved
+
     def test_missing_results_is_one_line(self, tmp_path, capsys):
         missing = tmp_path / "none.csv"
         assert run_cli("report", "--results", str(missing), "--out-dir", str(tmp_path)) == 2

@@ -120,7 +120,7 @@ class TestRunners:
         # manual restriction: keep only the (p=1, q=1) columns of the full basis
         full = BasisSpec(n_tx=ds.n_tx, depth=ds.window_depth, order=1)
         mat = build_basis_matrix(ds.tx, full)
-        keep = [i for i, (a, p, q, m) in enumerate(full.terms) if q == 1]
+        keep = np.arange(full.n_terms).reshape(ds.n_tx, 2, -1)[:, 1].ravel()
         lin = BasisSpec.linear(ds.n_tx, ds.window_depth)
         coeffs = ls_fit(mat[:split_row][:, keep], labels[:, :split_row], lin)
         s_hat = apply_basis(coeffs, mat[split_row:][:, keep])

@@ -94,6 +94,34 @@ class TestBasisMatrix:
         assert_allclose(mat[0], [x[0, 2], x[0, 1], x[0, 0]])
         assert_allclose(mat[4], [x[0, 6], x[0, 5], x[0, 4]])
 
+    @pytest.mark.parametrize(
+        "spec, n",
+        [
+            (BasisSpec(n_tx=2, depth=3, order=1), 9),
+            (BasisSpec(n_tx=2, depth=3, order=3), 9),
+            (BasisSpec(n_tx=2, depth=3, order=5), 9),
+            (BasisSpec.linear(2, 4), 9),
+            (BasisSpec(n_tx=2, depth=1, order=3), 5),
+            (BasisSpec(n_tx=2, depth=3, order=3), 3),
+        ],
+    )
+    def test_column_layout_matches_per_column_oracle(self, rng, spec, n):
+        tx = rng.standard_normal((spec.n_tx, n)) + 1j * rng.standard_normal((spec.n_tx, n))
+        mat = build_basis_matrix(tx, spec)
+        depth = spec.depth
+        oracle = np.stack(
+            [
+                basis_term(tx[a], p, q)[depth - 1 - m : n - m]
+                for a in range(spec.n_tx)
+                for p, q in spec.pq_pairs
+                for m in range(depth)
+            ],
+            axis=1,
+        )
+        assert mat.shape == (n - depth + 1, spec.n_terms)
+        assert mat.flags.c_contiguous
+        assert mat.tobytes() == oracle.tobytes()
+
     def test_stream_shorter_than_depth_rejected(self):
         spec = BasisSpec.linear(1, 5)
         with pytest.raises(ValueError, match="depth"):
