@@ -239,6 +239,8 @@ def cmd_sweep(args) -> int:
         values = [int(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
         raise CliError(f"usage: --values must be comma-separated integers: {exc}")
+    if not values:
+        raise CliError("usage: --values must list at least one integer")
     out = _out_path(args.out, "sweep.csv")
     _check_overwrite(out, args.force)
     ds = _load_dataset(args.dataset)

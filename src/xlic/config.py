@@ -145,7 +145,8 @@ class ScenarioSettings:
         items = items if isinstance(items, list) else [items] * self.n_tx
         if len(items) != self.n_tx:
             raise ConfigError(
-                f"scenario.{name}: expected 1 or {self.n_tx} entries, got {len(items)}"
+                f"scenario.{name}: expected one object or a list of {self.n_tx} "
+                f"entries, got a list of {len(items)}"
             )
         return items
 
@@ -222,25 +223,11 @@ class RunConfig:
             raise ConfigError("config root: expected a JSON object")
         data = dict(data)
         version = data.pop("schema_version", SCHEMA_VERSION)
-        if version != SCHEMA_VERSION:
+        if not _is_int(version) or version != SCHEMA_VERSION:
             raise ConfigError(
-                f"schema_version: {version} not supported (expected {SCHEMA_VERSION})"
+                f"schema_version: {version!r} not supported (expected {SCHEMA_VERSION})"
             )
-        seed = data.pop("seed", 1)
-        _check_type(seed, "int", "seed")
-        return cls(
-            seed=seed,
-            scenario=_build(ScenarioSettings, data.pop("scenario", {}), "scenario"),
-            canceller=_build(CancellerSettings, data.pop("canceller", {}), "canceller"),
-            training=_build(TrainSettings, data.pop("training", {}), "training"),
-            **_reject_unknown(data, "config"),
-        )
-
-
-def _reject_unknown(data: dict, where: str) -> dict:
-    if data:
-        raise ConfigError(f"{where}: unknown field '{sorted(data)[0]}'")
-    return {}
+        return _build(cls, data, "config", "")
 
 
 def _is_int(value) -> bool:
@@ -262,8 +249,7 @@ def _are_taps(value) -> bool:
     )
 
 
-# Field annotation -> (what a value must be, its test). Nested settings
-# (iq, pa, ofdm) are checked by their own _build.
+# Field annotation -> (what a value must be, its test).
 _FIELD_TYPES = {
     "int": ("an integer", _is_int),
     "float": ("a finite number", _is_number),
@@ -271,22 +257,23 @@ _FIELD_TYPES = {
     "Taps": ("lists of [re, im] pairs of finite numbers", _are_taps),
 }
 
+# Field annotation -> the settings class read from its own JSON object.
+_SECTIONS = {
+    c.__name__: c
+    for c in (
+        ScenarioSettings, CancellerSettings, TrainSettings, IqImbalance, PaSettings, OfdmConfig
+    )
+}
 
-def _check_type(value, annotation: str, where: str) -> None:
-    """Reject a value that does not fit its field's annotation.
 
-    A ``| None`` annotation also takes null.
+def _build(cls, data, where: str, prefix: str):
+    """Construct a settings dataclass from a dict, naming bad fields.
+
+    Each field is read by its annotation: a settings class from its own
+    object (or, under ``| list``, from a non-empty list of them), any other
+    kind by its ``_FIELD_TYPES`` test; ``| None`` also takes null. Error
+    lines name a field ``prefix + name`` and the object itself ``where``.
     """
-    kind, _, rest = annotation.partition(" | ")
-    if value is None and rest == "None" or kind not in _FIELD_TYPES:
-        return
-    expected, fits = _FIELD_TYPES[kind]
-    if not fits(value):
-        raise ConfigError(f"{where}: expected {expected}, got {value!r}")
-
-
-def _build(cls, data, where: str):
-    """Construct a settings dataclass from a dict, naming bad fields."""
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected an object, got {type(data).__name__}")
     data = dict(data)
@@ -294,19 +281,23 @@ def _build(cls, data, where: str):
     for f in dataclasses.fields(cls):
         if f.name not in data:
             continue
-        value = data.pop(f.name)
-        if f.name in ("iq", "pa"):
-            sub = IqImbalance if f.name == "iq" else PaSettings
-            if isinstance(value, list) and value:
-                value = [_build(sub, v, f"{where}.{f.name}[{i}]") for i, v in enumerate(value)]
+        value, name = data.pop(f.name), prefix + f.name
+        kind, *rest = f.type.split(" | ")
+        if kind in _SECTIONS:
+            if "list" in rest and isinstance(value, list) and value:
+                value = [
+                    _build(_SECTIONS[kind], v, f"{name}[{i}]", f"{name}[{i}].")
+                    for i, v in enumerate(value)
+                ]
             else:
-                value = _build(sub, value, f"{where}.{f.name}")
-        elif f.name == "ofdm":
-            value = _build(OfdmConfig, value, f"{where}.ofdm")
-        else:
-            _check_type(value, f.type, f"{where}.{f.name}")
+                value = _build(_SECTIONS[kind], value, name, name + ".")
+        elif not (value is None and "None" in rest):
+            expected, fits = _FIELD_TYPES[kind]
+            if not fits(value):
+                raise ConfigError(f"{name}: expected {expected}, got {value!r}")
         kwargs[f.name] = value
-    _reject_unknown(data, where)
+    if data:
+        raise ConfigError(f"{where}: unknown field '{sorted(data)[0]}'")
     try:
         return cls(**kwargs)
     except ConfigError:

@@ -209,7 +209,10 @@ class TestGenerate:
         argv = ["run", "--canceller", "tc", "--config", bad, "--dataset", str(ds)]
         assert run_cli(*argv, "--out", results) == 2
         err = capsys.readouterr().err
-        assert err == "error: ConfigError: scenario.iq: expected 1 or 2 entries, got 3\n"
+        assert err == (
+            "error: ConfigError: scenario.iq: expected one object or a list of 2 entries, "
+            "got a list of 3\n"
+        )
         assert not os.path.exists(results)
 
     @pytest.mark.parametrize(
@@ -316,13 +319,35 @@ class TestGenerate:
             (_set("scenario", "iq", [{}, {"gain": "x"}]),
              "scenario.iq[1].gain: expected a finite number, got 'x'"),
             (_set("scenario", "iq", [{}, {}, {}]),
-             "scenario.iq: expected 1 or 2 entries, got 3"),
+             "scenario.iq: expected one object or a list of 2 entries, got a list of 3"),
+            (_set("scenario", "pa", [{}]),
+             "scenario.pa: expected one object or a list of 2 entries, got a list of 1"),
             (_set(None, "schema_version", 2), "schema_version: 2 not supported (expected 1)"),
+            (_set(None, "schema_version", True),
+             "schema_version: True not supported (expected 1)"),
+            (_set(None, "schema_version", 1.0),
+             "schema_version: 1.0 not supported (expected 1)"),
             (lambda cfg: [cfg], "config root: expected a JSON object"),
             (_set(None, "seed", 1.5), "seed: expected an integer, got 1.5"),
+            (_set(None, "training", [{}]), "training: expected an object, got list"),
+            (_set("scenario", "ofdm", [{}]), "scenario.ofdm: expected an object, got list"),
+            (_set("scenario", "iq", []), "scenario.iq: expected an object, got list"),
             (lambda cfg: "{", "config file {path}: invalid JSON ("),
         ],
-        ids=["per_antenna_entry", "list_length", "schema_version", "root", "seed", "json"],
+        ids=[
+            "per_antenna_entry",
+            "list_length",
+            "one_entry_list",
+            "schema_version",
+            "schema_version_bool",
+            "schema_version_float",
+            "root",
+            "seed",
+            "section_list",
+            "ofdm_list",
+            "empty_iq_list",
+            "json",
+        ],
     )
     def test_config_error_is_one_line(self, tmp_path, capsys, edit, where):
         path = small_config(tmp_path)
@@ -534,6 +559,14 @@ class TestSweep:
                        "--values", "1", "--out", str(tmp / "s.csv")) != 0
         assert run_cli("sweep", "--config", cfg, "--dataset", ds, "--axis", "P",
                        "--values", "1,a", "--out", str(tmp / "s.csv")) != 0
+        for values in ("", ","):
+            capsys.readouterr()
+            assert run_cli("sweep", "--config", cfg, "--dataset", ds, "--axis", "P",
+                           "--values", values, "--out", str(tmp / "s.csv")) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: usage: ")
+            assert err.count("\n") == 1
+            assert not (tmp / "s.csv").exists()
 
     def test_missing_dataset_is_one_line(self, pipeline, capsys):
         cfg, _, tmp = pipeline
