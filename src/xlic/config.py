@@ -79,6 +79,10 @@ class PaSettings:
         self.build()  # the model's own checks, at load
 
     def build(self) -> PaModel:
+        lengths = [len(branch) for branch in self.taps]
+        if len(set(lengths)) > 1:  # np.array would reject it in its own words
+            expected = ((self.order + 1) // 2, self.memory + 1)
+            raise ValueError(f"PA taps rows of {lengths} taps, expected shape {expected}")
         taps = np.array(
             [[complex(re, im) for re, im in branch] for branch in self.taps]
         )

@@ -14,8 +14,8 @@ residual power in dBm and the canceller's parameter/complexity counts.
     nnc  feedforward network mapping regressor windows to I/Q outputs
     hc   tc first, then a network trained on the stage-1 residual
 
-Each idea has one implementation: ``ls_fit`` is the LS fit of tc, pc and
-hc's stage 1, and ``_linear_fit`` builds tc's and pc's rows in blocks;
+Each idea has one implementation: ``_linear_fit`` is the LS fit of tc, pc
+and hc's stage 1, by ``ls_fit`` from the basis's monomials in chunks;
 ``_fit_network`` scales, trains and scores the networks of nnc and hc;
 the ``CANCELLERS`` table names every canceller with its counts, for
 scored rows and counts-only sweeps alike, and its settings field.
@@ -26,7 +26,7 @@ measurable range" (infinite ratio) rather than a number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .polynomial import (
     CHUNK_ROWS,
     BasisSpec,
     apply_basis,
+    apply_monomials,
     build_basis_matrix,
     ls_fit,
     pc_complexity,
@@ -181,24 +182,29 @@ def _score(
     )
 
 
-def _basis_rows(ds: CliDataset, spec: BasisSpec, start: int, stop: int):
-    """Basis rows ``start:stop``, built ``CHUNK_ROWS`` rows at a time from ``ds.tx``."""
+def _monomial_chunks(ds: CliDataset, spec: BasisSpec, start: int, stop: int):
+    """Monomial stacks of basis rows ``start:stop``, ``CHUNK_ROWS`` rows a chunk.
+
+    Each chunk is the depth-1 basis of the ``ds.tx`` samples its rows read,
+    so consecutive chunks share ``spec.depth - 1`` samples.
+    """
+    monomials = replace(spec, depth=1)
     for a in range(start, stop, CHUNK_ROWS):
         b = min(a + CHUNK_ROWS, stop)
-        yield build_basis_matrix(ds.tx[:, a : b + spec.depth - 1], spec)
+        yield build_basis_matrix(ds.tx[:, a : b + spec.depth - 1], monomials)
 
 
 def _linear_fit(ds: CliDataset, spec: BasisSpec):
     """LS-fit ``spec``'s basis on the training rows; estimate the test rows.
 
-    The rows are built block by block, so the fit holds one block of the
-    basis at a time, never all of it.
+    Fit and estimate read the basis's monomials chunk by chunk, so neither
+    builds a basis block.
     """
     labels, split_row = _aligned_labels(ds)
-    train = _basis_rows(ds, spec, 0, split_row)
-    test = _basis_rows(ds, spec, split_row, labels.shape[1])
+    train = _monomial_chunks(ds, spec, 0, split_row)
     coeffs = ls_fit(train, labels[:, :split_row], spec)
-    return coeffs, np.hstack([apply_basis(coeffs, block) for block in test])
+    test = _monomial_chunks(ds, spec, split_row, labels.shape[1])
+    return coeffs, np.hstack([apply_monomials(coeffs, u) for u in test])
 
 
 def run_tc(ds: CliDataset) -> CancellerResult:
@@ -301,10 +307,11 @@ def run_nnc(ds: CliDataset, n_hidden: int, cfg: TrainSettings) -> CancellerResul
 def run_hc(ds: CliDataset, n_hidden: int, cfg: TrainSettings) -> CancellerResult:
     """Train and score the hybrid canceller.
 
-    Stage 1 is :func:`run_tc`'s fit, by ``ls_fit`` on the linear basis
-    that stage 2 then reads as its real windows. Stage 2 trains the network
-    on the stage-1 residual, normalized by the training-partition residual
-    peak, and the final estimate is the sum of both stages.
+    Stage 1 is :func:`run_tc`'s fit and test estimate. Stage 2 builds the
+    linear basis once, for the stage-1 residual over the training rows and
+    as its real windows, and trains the network on the stage-1 residual,
+    normalized by the training-partition residual peak. The final
+    estimate is the sum of both stages.
 
     The network starts from ``FnnModel.initialize(..., residual=True)``:
     zero output weights and zero hidden biases. Its initial output is
@@ -321,11 +328,10 @@ def run_hc(ds: CliDataset, n_hidden: int, cfg: TrainSettings) -> CancellerResult
     labels, split_row = _aligned_labels(ds)
     spec = BasisSpec.linear(ds.n_tx, ds.window_depth)
     basis = build_basis_matrix(ds.tx, spec)
-    coeffs = ls_fit(basis[:split_row], labels[:, :split_row], spec)
-    s_test = apply_basis(coeffs, basis[split_row:])
+    coeffs, s_test = _linear_fit(ds, spec)
     residual = labels - np.hstack([apply_basis(coeffs, basis[:split_row]), s_test])
     residual_scale = float(np.abs(residual[:, :split_row]).max())
-    # Stage 1 is done with the basis; _fit_network scales it in place as real windows.
+    # The residual is done with the basis; _fit_network scales it in place as real windows.
     return _fit_network(
         ds,
         "hc",

@@ -15,10 +15,15 @@ The traditional (CSI-only) canceller is the restriction to the
 ``(p=1, q=1)`` terms, i.e. plain multichannel FIR identification.
 
 Coefficients are estimated from the normal equations, one shared
-factorization for all rx antennas. ``G = sum blk^H blk`` and
-``r = sum blk^H y`` are accumulated over ``CHUNK_ROWS``-row blocks, so a fit
-holds two blocks at most (the one summed and the next being built) and one
-Gram, whatever the number of rows. ``G`` is scaled
+factorization for all rx antennas. Basis column ``(a, p, q, m)`` is one
+monomial sequence delayed by ``m``, so the Gram entry of two columns is a
+lag product of their monomials less at most ``depth - 1`` edge terms at
+each end (the covariance method of linear prediction; Makhoul, "Linear
+prediction: a tutorial review", Proc. IEEE 1975). :func:`ls_fit` sums
+``depth`` lag products per chunk of ``CHUNK_ROWS + depth - 1`` monomial
+samples, about ``depth / 2`` times fewer flops than ``blk^H blk`` over the
+same rows' basis block, and holds one chunk and one Gram whatever the
+number of rows; a basis matrix is the same sum at lag depth 1. ``G`` is scaled
 to unit diagonal and factored by Cholesky. The scaling is what makes the
 normal equations usable here: the unscaled P=7 columns of the default
 47 dBm data span many decades of power, and an SVD ``lstsq`` on them judged
@@ -28,10 +33,10 @@ below ``MAX_CONDITION``, and pc's C_dB agrees with the SVD fit within
 2e-6 dB at every order where that fit succeeds. On the noiseless P=3
 chain (acceptance criterion 2) the relative LS residual is 1.2e-13.
 Measured on a 2-CPU Xeon host with one BLAS thread: at P=7 (40,000
-training rows) ``run_pc`` takes 2.6-3.3 s against 8.0-9.6 s for
-``lstsq``, with 47 MB blocks instead of the 576 MB basis, and one
-4,096 x 720 block's Gram takes 0.22 s as a real ``A^T A`` against 0.42 s
-for ``blk.conj().T @ blk``.
+training rows) ``run_pc`` takes 1.1-1.4 s, against 2.7-3.3 s for basis
+blocks and 8.0-9.6 s for ``lstsq``; its traced allocations peak at 38 MB
+against 124 MB for 47 MB blocks (the full basis is 576 MB), and of the
+fit ``eigvalsh`` takes 0.23 s.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from numpy.lib.stride_tricks import as_strided
 from . import container
 
 COEFFS_KIND = "poly-coeffs"
-# Rows per block of the Gram accumulation and of the blocks harness builds.
+# Basis rows per chunk of the Gram accumulation and of the chunks harness builds.
 CHUNK_ROWS = 4096
 # Largest 2-norm condition of the unit-diagonal Gram that ls_fit solves.
 # The solve's relative error grows as condition * 2.2e-16, so at this limit
@@ -147,6 +152,71 @@ def build_basis_matrix(tx: np.ndarray, spec: BasisSpec) -> np.ndarray:
     return out.reshape(n_rows, spec.n_terms)
 
 
+def _edge_sums(a: np.ndarray, b: np.ndarray) -> list:
+    """Running sums of the outer products ``conj(a[s]) b[s]^T``: entry ``j`` sums ``s < j``."""
+    return [0.0, *np.cumsum(a.conj()[:, :, None] * b[:, None, :], axis=0)]
+
+
+def _add_lag_gram(gram: np.ndarray, u: np.ndarray, depth: int) -> None:
+    """Add the Gram of one chunk's basis rows to ``gram``, indexed ``[k, m, l, m']``.
+
+    Block ``(m, m')`` pairs monomial ``k`` delayed by ``m`` with ``l`` delayed
+    by ``m'``. For ``m >= m'`` it is the chunk's lag product
+    ``sum_s conj(u[s, k]) u[s + d, l]``, ``d = m - m'``, less the
+    ``depth - 1 - m`` head and ``m'`` tail terms that no basis row reads;
+    block ``(m', m)`` is its conjugate transpose.
+    """
+    end = len(u) - depth + 1  # the chunk's row count; the tail terms start here
+    re = u.view(np.float64)  # columns are (re, im) pairs
+    lag = np.empty(gram.shape[::2], dtype=np.complex128)
+    for d in range(depth):
+        # one real A^T B (BLAS dsyrk at d = 0), folded from its 2x2 sub-blocks
+        h = re[: len(re) - d].T @ re[d:]
+        np.add(h[0::2, 0::2], h[1::2, 1::2], out=lag.real)
+        np.subtract(h[0::2, 1::2], h[1::2, 0::2], out=lag.imag)
+        head = _edge_sums(u[: depth - 1 - d], u[d : depth - 1])
+        tail = _edge_sums(u[end : len(u) - d][::-1], u[end + d :][::-1])
+        for m in range(d, depth):
+            block = lag - head[depth - 1 - m] - tail[m - d]
+            gram[:, m, :, m - d] += block
+            if d:
+                gram[:, m - d, :, m] += block.conj().T
+
+
+def _normal_equations(basis, labels: np.ndarray, spec: BasisSpec):
+    """The Gram of ``spec``'s basis and the conjugated right-hand sides ``(basis^H y)^H``.
+
+    ``basis`` is read as :func:`ls_fit` states.
+    """
+    chunks = basis
+    if isinstance(basis, np.ndarray):
+        chunks = (basis[a : a + CHUNK_ROWS] for a in range(0, basis.shape[0], CHUNK_ROWS))
+    labels = np.atleast_2d(np.asarray(labels, dtype=np.complex128))
+    gram = np.zeros((spec.n_terms, spec.n_terms), dtype=np.complex128)
+    rhs = np.zeros((labels.shape[0], spec.n_terms), dtype=np.complex128)
+    rows = 0
+    for u in chunks:
+        u = np.ascontiguousarray(u, dtype=np.complex128)
+        depth = 1 if u.shape[1] == spec.n_terms else spec.depth
+        n = len(u) - depth + 1
+        if u.shape[1] * depth != spec.n_terms or n < 1:
+            raise ValueError(f"chunk of shape {u.shape} fits no {spec.n_terms}-column basis")
+        y = labels[:, rows : rows + n].conj()
+        rows += n
+        if y.shape[1] < n:
+            raise ValueError(f"labels have {labels.shape[1]} rows, basis has more")
+        # column k * depth + m is monomial k delayed by m
+        _add_lag_gram(gram.reshape(u.shape[1], depth, u.shape[1], depth), u, depth)
+        rhs_lags = rhs.reshape(-1, u.shape[1], depth)
+        for m in range(depth):
+            rhs_lags[:, :, m] += y @ u[depth - 1 - m : depth - 1 - m + n]
+    if rows < labels.shape[1]:
+        raise ValueError(f"labels have {labels.shape[1]} rows, basis has {rows}")
+    if rows < spec.n_terms:
+        raise ValueError(f"underdetermined fit: {rows} rows < {spec.n_terms} columns")
+    return gram, rhs
+
+
 def ls_fit(
     basis,
     labels: np.ndarray,
@@ -154,40 +224,19 @@ def ls_fit(
 ) -> PolyCoefficients:
     """Least-squares coefficient estimate, all rx antennas in one solve.
 
-    ``basis`` is the basis matrix or an iterable of its consecutive row
-    blocks; a matrix is read in ``CHUNK_ROWS``-row slices, so blocks of
-    that size give the same bits. ``labels`` has shape ``(n_rx, n_rows)``.
-    Requires at least as many rows as columns. A basis whose unit-diagonal
-    Gram has a condition estimate above ``MAX_CONDITION``, or fails its
-    Cholesky factorization, raises :class:`SingularBasisError` with the
-    estimate.
+    ``basis`` is the basis matrix, read in ``CHUNK_ROWS``-row blocks, or an
+    iterable of consecutive chunks. A chunk is a block of basis rows, or
+    the monomial stack that basis rows ``a:b`` delay:
+    ``build_basis_matrix(tx[:, a : b + depth - 1], replace(spec, depth=1))``,
+    which shares ``depth - 1`` samples with the next chunk. A block of rows
+    is the same stack with every column its own sequence (lag depth 1), so
+    one accumulator reads both, from ``depth`` lag products per chunk.
+    ``labels`` has shape ``(n_rx, n_rows)``. Requires at least as many rows
+    as columns. A basis whose unit-diagonal Gram has a condition estimate
+    above ``MAX_CONDITION``, or fails its Cholesky factorization, raises
+    :class:`SingularBasisError` with the estimate.
     """
-    blocks = basis
-    if isinstance(basis, np.ndarray):
-        blocks = (basis[a : a + CHUNK_ROWS] for a in range(0, basis.shape[0], CHUNK_ROWS))
-    labels = np.atleast_2d(np.asarray(labels, dtype=np.complex128))
-    gram = np.zeros((spec.n_terms, spec.n_terms), dtype=np.complex128)
-    rhs = np.zeros((labels.shape[0], spec.n_terms), dtype=np.complex128)
-    gram_re, gram_im = gram.real, gram.imag  # views, accumulated in place
-    part = np.empty((spec.n_terms, spec.n_terms))
-    rows = 0
-    for block in blocks:
-        y = labels[:, rows : rows + block.shape[0]]
-        rows += block.shape[0]
-        if y.shape[1] < block.shape[0]:
-            raise ValueError(f"labels have {labels.shape[1]} rows, basis has more")
-        # block^H block by one real A^T A (BLAS dsyrk): in the float64 view the
-        # columns are (re, im) pairs, and the Gram's parts are sums of 2x2 sub-blocks,
-        # folded in through one real buffer.
-        re = np.ascontiguousarray(block, dtype=np.complex128).view(np.float64)
-        h = re.T @ re
-        gram_re += np.add(h[0::2, 0::2], h[1::2, 1::2], out=part)
-        gram_im += np.subtract(h[0::2, 1::2], h[1::2, 0::2], out=part)
-        rhs += y.conj() @ block  # (block^H y)^H, accumulated conjugated
-    if rows < labels.shape[1]:
-        raise ValueError(f"labels have {labels.shape[1]} rows, basis has {rows}")
-    if rows < spec.n_terms:
-        raise ValueError(f"underdetermined fit: {rows} rows < {spec.n_terms} columns")
+    gram, rhs = _normal_equations(basis, labels, spec)
     scale = np.sqrt(gram.diagonal().real)
     cond = np.inf
     if np.all(scale > 0):
@@ -221,6 +270,22 @@ def apply_basis(coeffs: PolyCoefficients, basis: np.ndarray) -> np.ndarray:
             f"{coeffs.basis.n_terms}"
         )
     return (basis @ coeffs.weights.T).T
+
+
+def apply_monomials(coeffs: PolyCoefficients, u: np.ndarray) -> np.ndarray:
+    """Interference estimate over the basis rows of one monomial chunk.
+
+    ``u`` is a monomial chunk as :func:`ls_fit` reads it; each rx antenna's
+    estimate is the monomials filtered by its weights. Returns
+    ``(n_rx, n_rows)``.
+    """
+    depth = coeffs.basis.depth
+    n = u.shape[0] - depth + 1
+    weights = coeffs.weights.reshape(coeffs.weights.shape[0], -1, depth)
+    out = np.zeros((len(weights), n), dtype=np.complex128)
+    for m in range(depth):
+        out += weights[:, :, m] @ u[depth - 1 - m : depth - 1 - m + n].T
+    return out
 
 
 def pc_param_count(n_rx: int, n_tx: int, memory: int, n_paths: int, order: int) -> int:

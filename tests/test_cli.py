@@ -322,6 +322,8 @@ class TestGenerate:
              "scenario.iq: expected one object or a list of 2 entries, got a list of 3"),
             (_set("scenario", "pa", [{}]),
              "scenario.pa: expected one object or a list of 2 entries, got a list of 1"),
+            (_set("scenario", "pa", {"taps": [[[1, 0]], [[1, 0], [2, 0]]]}),
+             "scenario.pa: PA taps rows of [1, 2] taps, expected shape (2, 3)\n"),
             (_set(None, "schema_version", 2), "schema_version: 2 not supported (expected 1)"),
             (_set(None, "schema_version", True),
              "schema_version: True not supported (expected 1)"),
@@ -338,6 +340,7 @@ class TestGenerate:
             "per_antenna_entry",
             "list_length",
             "one_entry_list",
+            "ragged_taps",
             "schema_version",
             "schema_version_bool",
             "schema_version_float",

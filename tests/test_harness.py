@@ -1,6 +1,7 @@
 """Tests for the canceller harness: metric, runners, counts and sweeps."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,14 @@ from xlic.harness import (
     run_tc,
     sweep,
 )
-from xlic.polynomial import CHUNK_ROWS, BasisSpec, apply_basis, build_basis_matrix, ls_fit
+from xlic.polynomial import (
+    CHUNK_ROWS,
+    BasisSpec,
+    SingularBasisError,
+    apply_basis,
+    build_basis_matrix,
+    ls_fit,
+)
 from xlic.scenario import generate_dataset
 
 FAST_TRAIN = TrainSettings(epochs=4, learning_rate=1e-3)
@@ -177,17 +185,24 @@ class TestRunners:
         assert stage1.tobytes() == tc.artifacts["coefficients"].weights.tobytes()
 
     def test_hc_builds_the_delay_line_once(self, small_ds, monkeypatch):
-        # stage 2 trains on stage 1's linear basis, read as real windows
+        # stage 2 trains on the linear basis, read as real windows; stage 1
+        # reads depth-1 monomial chunks, so only one build is windows-sized
         calls = []
         for name in ("build_basis_matrix", "build_regressors"):
 
             def counted(*args, _original=getattr(harness, name), _name=name):
-                calls.append(_name)
-                return _original(*args)
+                out = _original(*args)
+                calls.append((_name, out.shape))
+                return out
 
             monkeypatch.setattr(harness, name, counted)
         run_hc(small_ds, 8, TrainSettings(epochs=1, learning_rate=1e-3))
-        assert calls == ["build_basis_matrix"]
+        depth = small_ds.window_depth
+        windows = (small_ds.tx.shape[1] - depth + 1, small_ds.n_tx * depth)
+        assert all(name == "build_basis_matrix" for name, _ in calls)
+        chunks = [shape for _, shape in calls if shape != windows]
+        assert len(calls) - len(chunks) == 1
+        assert {cols for _, cols in chunks} == {small_ds.n_tx}
 
     def test_pc_builds_the_basis_in_blocks(self, long_ds, monkeypatch):
         # no full basis: each build sees at most one block's delay lines
@@ -203,6 +218,27 @@ class TestRunners:
         assert len(lengths) > 2
         assert max(lengths) <= CHUNK_ROWS + depth - 1
         assert sum(n - depth + 1 for n in lengths) == long_ds.n_samples - depth + 1
+
+    def test_pc_memory_does_not_follow_the_capture_length(self, long_ds):
+        # doubling the capture may add only arrays of the row count: the
+        # labels, the estimate and the score's differences
+        run_pc(long_ds, order=3)
+        peaks = []
+        for ds in (long_ds, generate_dataset(small_scenario(n_samples=6 * CHUNK_ROWS), seed=34)):
+            tracemalloc.start()
+            try:
+                run_pc(ds, order=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        labels_bytes = long_ds.rx.nbytes  # the 3 * CHUNK_ROWS more samples
+        assert peaks[1] - peaks[0] <= 3 * labels_bytes
+
+    @pytest.mark.parametrize("canceller", ["tc", "pc"])
+    def test_constant_tx_is_singular_with_its_condition(self, small_ds, canceller):
+        ds = replace(small_ds, tx=np.ones_like(small_ds.tx))
+        with pytest.raises(SingularBasisError, match="condition estimate"):
+            run_canceller(ds, canceller)
 
     @pytest.mark.parametrize("canceller", ["nnc", "hc"])
     def test_network_holds_one_copy_of_the_windows(self, long_ds, canceller):

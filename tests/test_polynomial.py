@@ -1,5 +1,7 @@
 """Tests for the polynomial basis, LS identification and counting formulas."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,7 +14,9 @@ from xlic.polynomial import (
     BasisSpec,
     PolyCoefficients,
     SingularBasisError,
+    _normal_equations,
     apply_basis,
+    apply_monomials,
     basis_term,
     build_basis_matrix,
     ls_fit,
@@ -189,6 +193,13 @@ class TestLsFit:
         from_blocks = ls_fit(blocks, labels, spec).weights
         assert from_blocks.tobytes() == ls_fit(basis, labels, spec).weights.tobytes()
 
+    def test_chunk_of_neither_width_rejected(self, rng):
+        # neither the basis's 36 columns nor its 12 monomials
+        spec = BasisSpec(n_tx=2, depth=3, order=3)
+        chunk = rng.standard_normal((60, 5)) + 0j
+        with pytest.raises(ValueError, match="fits no"):
+            ls_fit([chunk], np.zeros((1, 58), dtype=complex), spec)
+
     def test_row_count_mismatch_rejected(self, rng):
         spec = BasisSpec.linear(1, 2)
         tx = rng.standard_normal((1, 100)) + 1j * rng.standard_normal((1, 100))
@@ -210,6 +221,52 @@ class TestLsFit:
             np.linalg.norm(basis) * np.linalg.norm(residual)
         )
         assert rel < 1e-8
+
+
+def _monomial_chunks(tx, spec):
+    """Depth-1 bases of each CHUNK_ROWS basis rows' samples, as harness builds them."""
+    n_rows = tx.shape[1] - spec.depth + 1
+    monomials = replace(spec, depth=1)
+    return [
+        build_basis_matrix(tx[:, a : min(a + CHUNK_ROWS, n_rows) + spec.depth - 1], monomials)
+        for a in range(0, n_rows, CHUNK_ROWS)
+    ]
+
+
+class TestMonomialChunkFit:
+    SPECS = [BasisSpec.linear(2, 5), BasisSpec(2, 5, 1), BasisSpec(2, 4, 3), BasisSpec(2, 3, 5)]
+
+    @pytest.fixture(params=SPECS, ids=["linear", "P1", "P3", "P5"])
+    def problem(self, request, rng):
+        spec = request.param
+        # three chunks, the last of one basis row
+        n = 2 * CHUNK_ROWS + spec.depth
+        tx = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        basis = build_basis_matrix(tx, spec)
+        labels = rng.standard_normal((3, len(basis))) + 1j * rng.standard_normal((3, len(basis)))
+        chunks = _monomial_chunks(tx, spec)
+        assert [len(u) - spec.depth + 1 for u in chunks] == [CHUNK_ROWS, CHUNK_ROWS, 1]
+        return spec, basis, labels, chunks
+
+    def test_normal_equations_match_the_explicit_basis(self, problem):
+        # lag products less edge terms, against basis^H basis: within 1e-12 of the largest entry
+        spec, basis, labels, chunks = problem
+        gram, rhs = _normal_equations(iter(chunks), labels, spec)
+        explicit = basis.conj().T @ basis
+        assert np.abs(gram - explicit).max() <= 1e-12 * np.abs(explicit).max()
+        explicit_rhs = labels.conj() @ basis
+        assert np.abs(rhs - explicit_rhs).max() <= 1e-12 * np.abs(explicit_rhs).max()
+
+    def test_weights_and_estimate_match_the_explicit_fit(self, problem):
+        # relative 2-norm differences within 1e-9
+        spec, basis, labels, chunks = problem
+        fitted = ls_fit(iter(chunks), labels, spec)
+        explicit = ls_fit(basis, labels, spec)
+        err = np.linalg.norm(fitted.weights - explicit.weights)
+        assert err <= 1e-9 * np.linalg.norm(explicit.weights)
+        estimate = np.hstack([apply_monomials(explicit, u) for u in chunks])
+        reference = apply_basis(explicit, basis)
+        assert np.linalg.norm(estimate - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
 class TestReconstruct:

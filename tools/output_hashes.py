@@ -6,8 +6,9 @@ Imports ``xlic`` from ``<checkout>/src`` at one BLAS thread. Hashes datasets and
 every ``CancellerResult`` field, history and weight array of tc, pc (P=3), nnc and
 hc (3 epochs) on a small 2x2 scenario (seeds 1-2) and the default 4x4 one (seed 1);
 ``sweep`` on P (1-7 on the small scenario, whose P=7 basis has the most monomials
-per antenna, 1-3 on the default one) and nh; and the CLI's exit status, stdout,
-stderr and file bytes.
+per antenna, 1-3 on the default one) and nh; ``run_pc`` at P=5 and 7 on the default
+seed-1 dataset, where the fit's rounding moves most; and the CLI's exit status,
+stdout, stderr and file bytes.
 The default scenario's datasets of seeds 2-10, the acceptance seeds, are hashed too.
 Datasets alone are hashed for the scenario values that the default config does not
 exercise: no received-power calibration (at the default and at a 30 dBm transmit
@@ -128,6 +129,9 @@ small = ScenarioSettings(**SMALL, ofdm=OfdmConfig(**SMALL_OFDM))
 library("small", small, (1, 2), 16, 8, (1, 3, 5, 7))
 default = ScenarioSettings()
 library("default", default, (1,), 300, 200, (1, 3))
+default_s1 = xlic.generate_dataset(default, 1)
+for order in (5, 7):
+    put_result(f"default/s1/pc_p{order}", harness.run_pc(default_s1, order=order))
 for seed in range(2, 11):
     put_dataset(f"default/s{seed}", xlic.generate_dataset(default, seed))
 command_line()
