@@ -45,6 +45,8 @@ RESULT_FIELDS = [
     "complexity",
     "epochs",
 ]
+# train_loss: the epoch's batch losses before each step, row-weighted (fnn.train);
+# test_loss and test_c_db: the test rows after the epoch's last step
 EPOCH_FIELDS = ["canceller", "seed", "epoch", "train_loss", "test_loss", "test_c_db"]
 
 ABOVE_RANGE = "above-range"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from xlic import fnn
 from xlic.config import TrainSettings
 from xlic.fnn import (
     AdamState,
@@ -186,6 +187,19 @@ class TestBackward:
         assert backward(model, x, y, out=out) is out
         assert_array_equal(out.flat, backward(model, x, y).flat)
 
+    @pytest.mark.parametrize("dtype, rel", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    def test_records_the_batch_loss(self, rng, dtype, rel):
+        # the float32 step takes its error against float32-rounded labels
+        model = FnnModel(*(p.astype(dtype) for p in tiny_model(rng).params()))
+        x = rng.standard_normal((13, 4))
+        y = rng.standard_normal((13, 2))
+        grads = backward(model, x, y)
+        assert isinstance(grads.loss, float)
+        assert grads.loss == pytest.approx(loss_mse(forward(model, x), y), rel=rel, abs=0)
+        assert backward(model, x[:3], y[:3], out=grads).loss == pytest.approx(
+            loss_mse(forward(model, x[:3]), y[:3]), rel=rel, abs=0
+        )
+
     def test_zero_preactivation_gives_exact_zero_gradient(self, rng):
         # unit 0 has pre == 0 on every row, and the error back-propagated
         # into it overflows to inf; its gradient must still be exactly
@@ -284,7 +298,11 @@ class TestTrain:
         fit = train(model, x, y, x, y, cfg, shuffle_seed=1)
         for p, b in zip(fit.model.params(), before):
             assert_array_equal(p, b.astype(np.float32))  # the float32 rounding
-        assert len(set(fit.train_losses)) == 1  # constant loss
+        # each epoch's loss is the frozen model's, up to the float32-rounded
+        # labels of the steps and a summation order that follows the shuffle
+        frozen = loss_mse(forward(as_float32(model), x), y)
+        for loss in fit.train_losses:
+            assert loss == pytest.approx(frozen, rel=1e-6, abs=0)
 
     def test_loss_history_finite_and_no_divergence(self, rng):
         x = rng.standard_normal((500, 4))
@@ -342,10 +360,17 @@ class TestTrain:
         losses, epochs = [], []
         for _ in range(cfg.epochs):
             order = shuffle.permutation(len(x))
+            sq_err = 0.0
             for start in range(0, len(x), cfg.batch_size):
                 rows = order[start : start + cfg.batch_size]
-                adam_step(model, state, backward(model, x[rows], y[rows]), cfg)
-            losses.append(loss_mse(forward(model, x), y))
+                grads = backward(model, x[rows], y[rows])
+                # the loss at the weights before the step
+                assert grads.loss == pytest.approx(
+                    loss_mse(forward(model, x[rows]), y[rows]), rel=1e-6, abs=0
+                )
+                sq_err += grads.loss * rows.size
+                adam_step(model, state, grads, cfg)
+            losses.append(sq_err / len(x))
             epochs.append(model.copy())
         assert state.t == 3 * 5
         assert fit.train_losses == losses
@@ -368,8 +393,9 @@ class TestTrain:
         assert peak < x.nbytes / 4
 
     def test_chunked_losses_equal_whole_batch_loss(self, rng):
-        # 2,100 training rows end in a 52-row chunk, 4,101 test rows in a
-        # 5-row one; with one epoch the final weights are the scored ones.
+        # 4,101 test rows end in a 5-row chunk; with one epoch the final
+        # weights are the scored ones. The training loss comes from the
+        # steps (test_train_is_the_tested_step).
         # At this width each chunk's rows equal the whole-batch product's.
         # At 300 hidden units a few rows of a chunk differ from it in the
         # last bit (OpenBLAS picks kernels by matrix size), so there the
@@ -382,8 +408,44 @@ class TestTrain:
         cfg = TrainSettings(epochs=1, batch_size=64, learning_rate=1e-2)
         fit = train(model, x, y, x_test, y_test, cfg, shuffle_seed=4)
         stepped = as_float32(fit.model)
-        assert fit.train_losses == [loss_mse(forward(stepped, x), y)]
         assert fit.test_losses == [loss_mse(forward(stepped, x_test), y_test)]
+
+    def test_forwards_only_the_test_rows(self, rng, monkeypatch):
+        x = rng.standard_normal((300, 4))
+        y = rng.standard_normal((300, 2))
+        x_test = rng.standard_normal((2100, 4))  # two evaluation chunks
+        y_test = rng.standard_normal((2100, 2))
+        rows = []
+
+        def counting_forward(model, xb):
+            rows.append(len(xb))
+            return forward(model, xb)
+
+        monkeypatch.setattr(fnn, "forward", counting_forward)
+        cfg = TrainSettings(epochs=3, batch_size=32, learning_rate=1e-3)
+        train(FnnModel.initialize(4, 5, 2, seed=1), x, y, x_test, y_test, cfg, shuffle_seed=2)
+        assert sum(rows) == cfg.epochs * len(x_test)
+
+    def test_partial_last_batch_weighted_by_its_rows(self, rng):
+        # 37 rows at batch 8: four batches of 8 and one of 5. At learning
+        # rate 0 each batch's loss is the frozen model's on its rows; the
+        # last batch's labels are scaled up, so an unweighted mean of the
+        # five batch losses misses the epoch's loss by far.
+        x = rng.standard_normal((37, 4))
+        y = rng.standard_normal((37, 2))
+        order = np.random.default_rng(8).permutation(len(x))
+        y[order[32:]] *= 10.0
+        model = FnnModel.initialize(4, 5, 2, seed=7)
+        cfg = TrainSettings(epochs=1, batch_size=8, learning_rate=0.0)
+        fit = train(model, x, y, x, y, cfg, shuffle_seed=8)
+
+        frozen = as_float32(model)
+        batches = [order[start : start + 8] for start in range(0, 37, 8)]
+        batch_losses = [loss_mse(forward(frozen, x[r]), y[r]) for r in batches]
+        hand = sum(loss * len(r) for loss, r in zip(batch_losses, batches)) / 37
+        assert [len(r) for r in batches] == [8, 8, 8, 8, 5]
+        assert fit.train_losses[0] == pytest.approx(hand, rel=1e-6, abs=0)
+        assert fit.train_losses[0] != pytest.approx(np.mean(batch_losses), rel=0.05)
 
     def test_caller_model_left_unchanged(self, rng):
         x = rng.standard_normal((40, 4))

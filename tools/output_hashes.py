@@ -8,7 +8,7 @@ hc (3 epochs) on a small 2x2 scenario (seeds 1-2) and the default 4x4 one (seed 
 ``sweep`` on P (1-7 on the small scenario, whose P=7 basis has the most monomials
 per antenna, 1-3 on the default one) and nh; ``run_pc`` at P=5 and 7 on the default
 seed-1 dataset, where the fit's rounding moves most; and the CLI's exit status,
-stdout, stderr and file bytes.
+stdout, stderr and file bytes, with the epoch CSVs also hashed per column.
 The default scenario's datasets of seeds 2-10, the acceptance seeds, are hashed too.
 Datasets alone are hashed for the scenario values that the default config does not
 exercise: no received-power calibration (at the default and at a 30 dBm transmit
@@ -17,6 +17,7 @@ object and the ADC switched off.
 """
 
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import io
@@ -37,6 +38,7 @@ if not xlic.__file__.startswith(SRC + os.sep):
 SMALL = {"n_rx": 2, "n_tx": 2, "n_paths": 3, "n_samples": 4000}
 SMALL_OFDM = {"fft_size": 256, "occupied_subcarriers": 28, "cp_len": 18}
 TRAIN = TrainSettings(epochs=3)
+EPOCH_CSVS = ("results_epochs.csv", "epoch_curves.csv")
 digests = {}
 
 
@@ -101,7 +103,12 @@ def command_line() -> None:
         for root, _, files in os.walk(tmp):
             for name in files:
                 with open(os.path.join(root, name), "rb") as fh:
-                    put(f"cli/file/{name}", fh.read().replace(tmp.encode(), b"<tmp>"))
+                    data = fh.read().replace(tmp.encode(), b"<tmp>")
+                put(f"cli/file/{name}", data)
+                if name in EPOCH_CSVS:
+                    # a diff names the columns that moved, e.g. train_loss alone
+                    for column in zip(*csv.reader(io.StringIO(data.decode()))):
+                        put(f"cli/file/{name}/{column[0]}", column[1:])
 
 
 def scenario_values() -> None:
