@@ -373,6 +373,6 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ContainerError, ValueError, ArithmeticError, OSError) as exc:
+    except (ContainerError, ValueError, ArithmeticError, OSError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -60,12 +60,9 @@ def derive_rng(root_seed: int, *labels) -> np.random.Generator:
     """Derive a per-purpose generator from the root seed.
 
     Entropy is ``(root_seed, crc32(label_0), crc32(label_1), ...)`` fed to
-    ``SeedSequence``; stable across platforms and runs. Integer labels are
-    used as-is.
+    ``SeedSequence``; stable across platforms and runs.
     """
-    keys = [int(root_seed)]
-    for label in labels:
-        keys.append(label if isinstance(label, int) else zlib.crc32(str(label).encode()))
+    keys = [int(root_seed), *(zlib.crc32(str(label).encode()) for label in labels)]
     return np.random.default_rng(np.random.SeedSequence(keys))
 
 

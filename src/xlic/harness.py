@@ -37,7 +37,6 @@ from .polynomial import (
     CHUNK_ROWS,
     BasisSpec,
     apply_basis,
-    apply_monomials,
     build_basis_matrix,
     ls_fit,
     pc_complexity,
@@ -204,7 +203,7 @@ def _linear_fit(ds: CliDataset, spec: BasisSpec):
     train = _monomial_chunks(ds, spec, 0, split_row)
     coeffs = ls_fit(train, labels[:, :split_row], spec)
     test = _monomial_chunks(ds, spec, split_row, labels.shape[1])
-    return coeffs, np.hstack([apply_monomials(coeffs, u) for u in test])
+    return coeffs, np.hstack([apply_basis(coeffs, u) for u in test])
 
 
 def run_tc(ds: CliDataset) -> CancellerResult:

@@ -24,8 +24,8 @@ prediction: a tutorial review", Proc. IEEE 1975). :func:`ls_fit` sums
 samples, about ``depth / 2`` times fewer flops than ``blk^H blk`` over the
 same rows' basis block, and holds one chunk and one Gram whatever the
 number of rows; a basis matrix is the same sum at lag depth 1. ``G`` is scaled
-to unit diagonal and factored by Cholesky. The scaling is what makes the
-normal equations usable here: the unscaled P=7 columns of the default
+to unit diagonal, its condition checked and then solved. The scaling is what
+makes the normal equations usable here: the unscaled P=7 columns of the default
 47 dBm data span many decades of power, and an SVD ``lstsq`` on them judged
 the basis rank deficient on 8 of seeds 1-10. Scaled, the P=7 Gram's
 2-norm condition on those seeds is 3.4e9-5.9e9 (P=3: 1.8e6-5.8e6), 170x
@@ -35,8 +35,7 @@ chain (acceptance criterion 2) the relative LS residual is 1.2e-13.
 Measured on a 2-CPU Xeon host with one BLAS thread: at P=7 (40,000
 training rows) ``run_pc`` takes 1.1-1.4 s, against 2.7-3.3 s for basis
 blocks and 8.0-9.6 s for ``lstsq``; its traced allocations peak at 38 MB
-against 124 MB for 47 MB blocks (the full basis is 576 MB), and of the
-fit ``eigvalsh`` takes 0.23 s.
+against 124 MB for 47 MB blocks (the full basis is 576 MB).
 """
 
 from __future__ import annotations
@@ -183,6 +182,15 @@ def _add_lag_gram(gram: np.ndarray, u: np.ndarray, depth: int) -> None:
                 gram[:, m - d, :, m] += block.conj().T
 
 
+def _chunk_depth(u: np.ndarray, spec: BasisSpec) -> tuple[int, int]:
+    """Lag depth and basis-row count of chunk ``u``, read as :func:`ls_fit` states."""
+    depth = 1 if u.shape[1] == spec.n_terms else spec.depth
+    n = len(u) - depth + 1
+    if u.shape[1] * depth != spec.n_terms or n < 1:
+        raise ValueError(f"chunk of shape {u.shape} fits no basis of {spec.n_terms} columns")
+    return depth, n
+
+
 def _normal_equations(basis, labels: np.ndarray, spec: BasisSpec):
     """The Gram of ``spec``'s basis and the conjugated right-hand sides ``(basis^H y)^H``.
 
@@ -197,10 +205,7 @@ def _normal_equations(basis, labels: np.ndarray, spec: BasisSpec):
     rows = 0
     for u in chunks:
         u = np.ascontiguousarray(u, dtype=np.complex128)
-        depth = 1 if u.shape[1] == spec.n_terms else spec.depth
-        n = len(u) - depth + 1
-        if u.shape[1] * depth != spec.n_terms or n < 1:
-            raise ValueError(f"chunk of shape {u.shape} fits no {spec.n_terms}-column basis")
+        depth, n = _chunk_depth(u, spec)
         y = labels[:, rows : rows + n].conj()
         rows += n
         if y.shape[1] < n:
@@ -232,9 +237,10 @@ def ls_fit(
     is the same stack with every column its own sequence (lag depth 1), so
     one accumulator reads both, from ``depth`` lag products per chunk.
     ``labels`` has shape ``(n_rx, n_rows)``. Requires at least as many rows
-    as columns. A basis whose unit-diagonal Gram has a condition estimate
-    above ``MAX_CONDITION``, or fails its Cholesky factorization, raises
-    :class:`SingularBasisError` with the estimate.
+    as columns. The Gram is scaled to unit diagonal; a basis whose scaled
+    Gram is not positive definite with a 2-norm condition of at most
+    ``MAX_CONDITION`` raises :class:`SingularBasisError` with the estimate.
+    That check is what lets one LU solve stand for a Cholesky solve.
     """
     gram, rhs = _normal_equations(basis, labels, spec)
     scale = np.sqrt(gram.diagonal().real)
@@ -244,47 +250,28 @@ def ls_fit(
         eig = np.linalg.eigvalsh(scaled)
         if eig[0] > 0:
             cond = eig[-1] / eig[0]
-    try:
-        if cond > MAX_CONDITION:
-            raise np.linalg.LinAlgError
-        chol = np.linalg.cholesky(scaled)
-    except np.linalg.LinAlgError:
+    if cond > MAX_CONDITION:
         raise SingularBasisError(
             f"basis is singular: scaled condition estimate {cond:.3e} "
             f"(limit {MAX_CONDITION:.0e})"
-        ) from None
-    # NumPy has no triangular solver; its LU solve handles each factor.
-    half = np.linalg.solve(chol, rhs.conj().T / scale[:, None])
-    solution = np.linalg.solve(chol.conj().T, half) / scale[:, None]
+        )
+    solution = np.linalg.solve(scaled, rhs.conj().T / scale[:, None]) / scale[:, None]
     return PolyCoefficients(basis=spec, weights=solution.T)
 
 
 def apply_basis(coeffs: PolyCoefficients, basis: np.ndarray) -> np.ndarray:
-    """Interference estimate of fitted coefficients over prebuilt basis rows.
+    """Interference estimate of fitted coefficients over one chunk of basis rows.
 
-    Returns shape ``(n_rx, n_rows)``, aligned with the basis rows.
+    ``basis`` is a chunk as :func:`ls_fit` reads it: a block of basis rows,
+    or the monomial stack that they delay. Each rx antenna's estimate is
+    the chunk's ``depth`` lag windows filtered by its weights, lag depth 1
+    for a block. Returns ``(n_rx, n_rows)``, aligned with the basis rows.
     """
-    if basis.shape[1] != coeffs.basis.n_terms:
-        raise ValueError(
-            f"basis has {basis.shape[1]} columns, coefficients expect "
-            f"{coeffs.basis.n_terms}"
-        )
-    return (basis @ coeffs.weights.T).T
-
-
-def apply_monomials(coeffs: PolyCoefficients, u: np.ndarray) -> np.ndarray:
-    """Interference estimate over the basis rows of one monomial chunk.
-
-    ``u`` is a monomial chunk as :func:`ls_fit` reads it; each rx antenna's
-    estimate is the monomials filtered by its weights. Returns
-    ``(n_rx, n_rows)``.
-    """
-    depth = coeffs.basis.depth
-    n = u.shape[0] - depth + 1
+    depth, n = _chunk_depth(basis, coeffs.basis)
     weights = coeffs.weights.reshape(coeffs.weights.shape[0], -1, depth)
-    out = np.zeros((len(weights), n), dtype=np.complex128)
-    for m in range(depth):
-        out += weights[:, :, m] @ u[depth - 1 - m : depth - 1 - m + n].T
+    out = weights[:, :, 0] @ basis[depth - 1 : depth - 1 + n].T
+    for m in range(1, depth):
+        out += weights[:, :, m] @ basis[depth - 1 - m : depth - 1 - m + n].T
     return out
 
 

@@ -1,8 +1,24 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from xlic.config import OfdmSettings, PaSettings, ScenarioSettings
 from xlic.rf_chain import IqImbalance
+
+TESTS_DIR = Path(__file__).parent
+
+
+def pytest_collection_modifyitems(items):
+    """Fail every test in this directory on a warning, as ``-W error`` does.
+
+    The hook sees the whole session's items, so ``perfbench``'s are left as
+    they are. The mark goes first, so a test's own ``filterwarnings`` marks
+    still take precedence.
+    """
+    for item in items:
+        if item.path.is_relative_to(TESTS_DIR):
+            item.add_marker(pytest.mark.filterwarnings("error"), append=False)
 
 
 @pytest.fixture

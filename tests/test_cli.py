@@ -287,6 +287,17 @@ class TestGenerate:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_capture_too_large_for_memory_is_one_line(self, tmp_path, capsys):
+        # 56.8 PiB of tx samples: more than any address space, so nothing is mapped
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"scenario": {"n_samples": 10**15}}))
+        out = tmp_path / "ds.bin"
+        assert run_cli("generate", "--config", str(path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_silent_capture_has_no_adc_full_scale(self, tmp_path, capsys):
         # a zero PA, no calibration and no noise: the derived full scale is 0
         out = tmp_path / "ds.bin"

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from conftest import ideal_rf
@@ -16,7 +17,6 @@ from xlic.polynomial import (
     SingularBasisError,
     _normal_equations,
     apply_basis,
-    apply_monomials,
     basis_term,
     build_basis_matrix,
     ls_fit,
@@ -193,12 +193,22 @@ class TestLsFit:
         from_blocks = ls_fit(blocks, labels, spec).weights
         assert from_blocks.tobytes() == ls_fit(basis, labels, spec).weights.tobytes()
 
-    def test_chunk_of_neither_width_rejected(self, rng):
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda spec, chunk: ls_fit([chunk], np.zeros((1, 58), dtype=complex), spec),
+            lambda spec, chunk: apply_basis(
+                PolyCoefficients(spec, np.zeros((1, spec.n_terms), dtype=complex)), chunk
+            ),
+        ],
+        ids=["ls_fit", "apply_basis"],
+    )
+    def test_chunk_of_neither_width_rejected(self, rng, read):
         # neither the basis's 36 columns nor its 12 monomials
         spec = BasisSpec(n_tx=2, depth=3, order=3)
         chunk = rng.standard_normal((60, 5)) + 0j
         with pytest.raises(ValueError, match="fits no"):
-            ls_fit([chunk], np.zeros((1, 58), dtype=complex), spec)
+            read(spec, chunk)
 
     def test_row_count_mismatch_rejected(self, rng):
         spec = BasisSpec.linear(1, 2)
@@ -207,6 +217,23 @@ class TestLsFit:
         for n_labels in (basis.shape[0] - 1, basis.shape[0] + 1):
             with pytest.raises(ValueError, match="labels have"):
                 ls_fit(basis, np.zeros((1, n_labels), dtype=complex), spec)
+
+    def test_weights_match_a_cholesky_solve(self, rng):
+        # near-constant envelopes make the monomials nearly dependent
+        spec = BasisSpec(n_tx=2, depth=3, order=5)
+        envelope = 1 + 0.02 * rng.standard_normal((2, 2000))
+        tx = envelope * np.exp(2j * np.pi * rng.random((2, 2000)))
+        basis = build_basis_matrix(tx, spec)
+        labels = rng.standard_normal((2, len(basis))) + 1j * rng.standard_normal((2, len(basis)))
+        gram = basis.conj().T @ basis
+        scale = np.sqrt(gram.diagonal().real)
+        scaled = gram / np.outer(scale, scale)
+        cond = np.linalg.cond(scaled)
+        assert cond >= 1e6
+        rhs = basis.conj().T @ labels.T / scale[:, None]
+        reference = scipy.linalg.cho_solve(scipy.linalg.cho_factor(scaled), rhs) / scale[:, None]
+        err = np.linalg.norm(ls_fit(basis, labels, spec).weights - reference.T)
+        assert err <= 10 * cond * np.finfo(float).eps * np.linalg.norm(reference)
 
     def test_residual_orthogonal_to_column_space(self, rng):
         spec = BasisSpec(n_tx=1, depth=2, order=3)
@@ -264,7 +291,7 @@ class TestMonomialChunkFit:
         explicit = ls_fit(basis, labels, spec)
         err = np.linalg.norm(fitted.weights - explicit.weights)
         assert err <= 1e-9 * np.linalg.norm(explicit.weights)
-        estimate = np.hstack([apply_monomials(explicit, u) for u in chunks])
+        estimate = np.hstack([apply_basis(explicit, u) for u in chunks])
         reference = apply_basis(explicit, basis)
         assert np.linalg.norm(estimate - reference) <= 1e-12 * np.linalg.norm(reference)
 
