@@ -16,26 +16,25 @@ The traditional (CSI-only) canceller is the restriction to the
 
 Coefficients are estimated from the normal equations, one shared
 factorization for all rx antennas. Basis column ``(a, p, q, m)`` is one
-monomial sequence delayed by ``m``, so the Gram entry of two columns is a
-lag product of their monomials less at most ``depth - 1`` edge terms at
-each end (the covariance method of linear prediction; Makhoul, "Linear
-prediction: a tutorial review", Proc. IEEE 1975). :func:`ls_fit` sums
-``depth`` lag products per chunk of ``CHUNK_ROWS + depth - 1`` monomial
-samples, about ``depth / 2`` times fewer flops than ``blk^H blk`` over the
-same rows' basis block, and holds one chunk and one Gram whatever the
-number of rows; a basis matrix is the same sum at lag depth 1. ``G`` is scaled
-to unit diagonal, its condition checked and then solved. The scaling is what
-makes the normal equations usable here: the unscaled P=7 columns of the default
-47 dBm data span many decades of power, and an SVD ``lstsq`` on them judged
-the basis rank deficient on 8 of seeds 1-10. Scaled, the P=7 Gram's
-2-norm condition on those seeds is 3.4e9-5.9e9 (P=3: 1.8e6-5.8e6), 170x
-below ``MAX_CONDITION``, and pc's C_dB agrees with the SVD fit within
-2e-6 dB at every order where that fit succeeds. On the noiseless P=3
-chain (acceptance criterion 2) the relative LS residual is 1.2e-13.
-Measured on a 2-CPU Xeon host with one BLAS thread: at P=7 (40,000
-training rows) ``run_pc`` takes 1.1-1.4 s, against 2.7-3.3 s for basis
-blocks and 8.0-9.6 s for ``lstsq``; its traced allocations peak at 38 MB
-against 124 MB for 47 MB blocks (the full basis is 576 MB).
+monomial sequence delayed by ``m``, so the Gram follows by the covariance
+method of linear prediction (Makhoul, "Linear prediction: a tutorial
+review", Proc. IEEE 1975): the block of lags ``(m, m')`` is block
+``(m - 1, m' - 1)`` plus the outer product of the monomial samples just
+before the first basis row and less that of the samples just after the
+last. :func:`ls_fit` therefore sums only the first block column, ``depth``
+products per chunk of ``CHUNK_ROWS + depth - 1`` monomial samples, about
+``depth / 2`` times fewer flops than ``blk^H blk`` over the same rows' basis
+block, and holds one chunk and one Gram whatever the number of rows; a
+basis matrix is the same sum at lag depth 1, with no blocks to fill.
+``G`` is scaled to unit diagonal, its condition checked and then solved.
+The scaling is what makes the normal equations usable here: the unscaled
+P=7 columns of the default 47 dBm data span many decades of power, and an
+SVD ``lstsq`` on them judged the basis rank deficient on 8 of seeds 1-10.
+Scaled, the P=7 Gram's 2-norm condition on those seeds is 3.4e9-5.9e9
+(P=3: 1.8e6-5.8e6), 170x below ``MAX_CONDITION``, and pc's C_dB agrees
+with the SVD fit within 2e-6 dB at every order where that fit succeeds.
+On the noiseless P=3 chain (acceptance criterion 2) the relative LS
+residual is 1.2e-13.
 """
 
 from __future__ import annotations
@@ -151,37 +150,6 @@ def build_basis_matrix(tx: np.ndarray, spec: BasisSpec) -> np.ndarray:
     return out.reshape(n_rows, spec.n_terms)
 
 
-def _edge_sums(a: np.ndarray, b: np.ndarray) -> list:
-    """Running sums of the outer products ``conj(a[s]) b[s]^T``: entry ``j`` sums ``s < j``."""
-    return [0.0, *np.cumsum(a.conj()[:, :, None] * b[:, None, :], axis=0)]
-
-
-def _add_lag_gram(gram: np.ndarray, u: np.ndarray, depth: int) -> None:
-    """Add the Gram of one chunk's basis rows to ``gram``, indexed ``[k, m, l, m']``.
-
-    Block ``(m, m')`` pairs monomial ``k`` delayed by ``m`` with ``l`` delayed
-    by ``m'``. For ``m >= m'`` it is the chunk's lag product
-    ``sum_s conj(u[s, k]) u[s + d, l]``, ``d = m - m'``, less the
-    ``depth - 1 - m`` head and ``m'`` tail terms that no basis row reads;
-    block ``(m', m)`` is its conjugate transpose.
-    """
-    end = len(u) - depth + 1  # the chunk's row count; the tail terms start here
-    re = u.view(np.float64)  # columns are (re, im) pairs
-    lag = np.empty(gram.shape[::2], dtype=np.complex128)
-    for d in range(depth):
-        # one real A^T B (BLAS dsyrk at d = 0), folded from its 2x2 sub-blocks
-        h = re[: len(re) - d].T @ re[d:]
-        np.add(h[0::2, 0::2], h[1::2, 1::2], out=lag.real)
-        np.subtract(h[0::2, 1::2], h[1::2, 0::2], out=lag.imag)
-        head = _edge_sums(u[: depth - 1 - d], u[d : depth - 1])
-        tail = _edge_sums(u[end : len(u) - d][::-1], u[end + d :][::-1])
-        for m in range(d, depth):
-            block = lag - head[depth - 1 - m] - tail[m - d]
-            gram[:, m, :, m - d] += block
-            if d:
-                gram[:, m - d, :, m] += block.conj().T
-
-
 def _chunk_depth(u: np.ndarray, spec: BasisSpec) -> tuple[int, int]:
     """Lag depth and basis-row count of chunk ``u``, read as :func:`ls_fit` states."""
     depth = 1 if u.shape[1] == spec.n_terms else spec.depth
@@ -194,31 +162,53 @@ def _chunk_depth(u: np.ndarray, spec: BasisSpec) -> tuple[int, int]:
 def _normal_equations(basis, labels: np.ndarray, spec: BasisSpec):
     """The Gram of ``spec``'s basis and the conjugated right-hand sides ``(basis^H y)^H``.
 
-    ``basis`` is read as :func:`ls_fit` states.
+    ``basis`` is read as :func:`ls_fit` states. Column ``k * depth + m`` is
+    monomial ``k`` delayed by ``m``. The chunks sum the Gram's first block
+    column; the covariance recursion of the module docstring fills the rest
+    from the ``depth - 1`` monomial samples before the first row (``head``)
+    and after the last (``tail``).
     """
     chunks = basis
     if isinstance(basis, np.ndarray):
         chunks = (basis[a : a + CHUNK_ROWS] for a in range(0, basis.shape[0], CHUNK_ROWS))
     labels = np.atleast_2d(np.asarray(labels, dtype=np.complex128))
-    gram = np.zeros((spec.n_terms, spec.n_terms), dtype=np.complex128)
     rhs = np.zeros((labels.shape[0], spec.n_terms), dtype=np.complex128)
     rows = 0
     for u in chunks:
         u = np.ascontiguousarray(u, dtype=np.complex128)
         depth, n = _chunk_depth(u, spec)
+        if not rows:
+            head = u[: depth - 1].copy()  # copied, as is tail: a view holds its whole chunk
+            column = np.zeros((depth, u.shape[1], u.shape[1]), dtype=np.complex128)
+        elif depth != len(column):
+            raise ValueError("chunks mix blocks of basis rows and monomial stacks")
         y = labels[:, rows : rows + n].conj()
         rows += n
         if y.shape[1] < n:
             raise ValueError(f"labels have {labels.shape[1]} rows, basis has more")
-        # column k * depth + m is monomial k delayed by m
-        _add_lag_gram(gram.reshape(u.shape[1], depth, u.shape[1], depth), u, depth)
         rhs_lags = rhs.reshape(-1, u.shape[1], depth)
+        conj_u = u.conj()
         for m in range(depth):
-            rhs_lags[:, :, m] += y @ u[depth - 1 - m : depth - 1 - m + n]
+            lagged = slice(depth - 1 - m, depth - 1 - m + n)
+            column[m] += conj_u[lagged].T @ u[depth - 1 : depth - 1 + n]
+            rhs_lags[:, :, m] += y @ u[lagged]
+        tail = u[n:].copy()
     if rows < labels.shape[1]:
         raise ValueError(f"labels have {labels.shape[1]} rows, basis has {rows}")
     if rows < spec.n_terms:
         raise ValueError(f"underdetermined fit: {rows} rows < {spec.n_terms} columns")
+    depth, width = column.shape[:2]
+    gram = np.empty((spec.n_terms, spec.n_terms), dtype=np.complex128)
+    blocks = gram.reshape(width, depth, width, depth).transpose(1, 3, 0, 2)  # [m, m', k, l]
+    blocks[:, 0] = column
+    blocks[0, 1:] = column[1:].conj().transpose(0, 2, 1)
+    for m in range(1, depth):
+        for m2 in range(1, depth):
+            blocks[m, m2] = (
+                blocks[m - 1, m2 - 1]
+                + np.outer(head[-m].conj(), head[-m2])
+                - np.outer(tail[-m].conj(), tail[-m2])
+            )
     return gram, rhs
 
 
@@ -235,7 +225,9 @@ def ls_fit(
     ``build_basis_matrix(tx[:, a : b + depth - 1], replace(spec, depth=1))``,
     which shares ``depth - 1`` samples with the next chunk. A block of rows
     is the same stack with every column its own sequence (lag depth 1), so
-    one accumulator reads both, from ``depth`` lag products per chunk.
+    one accumulator reads both; the chunks of one fit must all be of one
+    kind. Each chunk adds ``depth`` products to the Gram's first block
+    column, and the other blocks follow from it once per fit.
     ``labels`` has shape ``(n_rx, n_rows)``. Requires at least as many rows
     as columns. The Gram is scaled to unit diagonal; a basis whose scaled
     Gram is not positive definite with a 2-norm condition of at most

@@ -76,6 +76,9 @@ class CliDataset:
             raise ValueError(
                 f"tx and rx lengths differ: {self.tx.shape[1]} vs {self.rx.shape[1]}"
             )
+        for name in ("tx", "rx"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must hold finite samples")
         for name in ("input_scale", "label_scale"):
             value = getattr(self, name)
             if not (_is_number(value) and value > 0):

@@ -56,6 +56,11 @@ def _set(section, field, value):
     return edit
 
 
+def _set_last(arrays, name, value):
+    """Dataset edit that sets the last sample of ``arrays[name]``'s first antenna."""
+    arrays[name][0, -1] = value
+
+
 class TestConfig:
     def test_round_trip_unchanged(self, tmp_path):
         cfg = RunConfig(seed=5)
@@ -513,6 +518,8 @@ class TestRun:
             (lambda h, a: h.update(label_scale="big"), "error: ValueError: label_scale must be"),
             (lambda h, a: h.update(window_depth=0), "error: ValueError: window_depth must be"),
             (lambda h, a: h.update(split_index=4), "error: ValueError: split_index 4 leaves"),
+            (lambda h, a: _set_last(a, "rx", float("inf")), "error: ValueError: rx must hold"),
+            (lambda h, a: _set_last(a, "tx", float("nan")), "error: ValueError: tx must hold"),
         ],
         ids=[
             "missing_scale",
@@ -521,6 +528,8 @@ class TestRun:
             "string_scale",
             "zero_depth",
             "short_split",
+            "inf_test_label",
+            "nan_sample",
         ],
     )
     def test_malformed_dataset_is_one_line(self, pipeline, capsys, edit, expected):

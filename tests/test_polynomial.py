@@ -210,6 +210,17 @@ class TestLsFit:
         with pytest.raises(ValueError, match="fits no"):
             read(spec, chunk)
 
+    def test_chunks_of_both_kinds_rejected(self, rng):
+        # basis rows 0-99 as a block, then rows 100-197 as their monomial stack
+        spec = BasisSpec(n_tx=2, depth=3, order=3)
+        tx = rng.standard_normal((2, 200)) + 1j * rng.standard_normal((2, 200))
+        chunks = [
+            build_basis_matrix(tx[:, :102], spec),
+            build_basis_matrix(tx[:, 100:], replace(spec, depth=1)),
+        ]
+        with pytest.raises(ValueError, match="mix"):
+            ls_fit(chunks, np.zeros((1, 198), dtype=complex), spec)
+
     def test_row_count_mismatch_rejected(self, rng):
         spec = BasisSpec.linear(1, 2)
         tx = rng.standard_normal((1, 100)) + 1j * rng.standard_normal((1, 100))
@@ -273,20 +284,25 @@ class TestMonomialChunkFit:
         labels = rng.standard_normal((3, len(basis))) + 1j * rng.standard_normal((3, len(basis)))
         chunks = _monomial_chunks(tx, spec)
         assert [len(u) - spec.depth + 1 for u in chunks] == [CHUNK_ROWS, CHUNK_ROWS, 1]
-        return spec, basis, labels, chunks
+        return spec, tx, basis, labels, chunks
 
     def test_normal_equations_match_the_explicit_basis(self, problem):
-        # lag products less edge terms, against basis^H basis: within 1e-12 of the largest entry
-        spec, basis, labels, chunks = problem
-        gram, rhs = _normal_equations(iter(chunks), labels, spec)
+        # the covariance recursion against basis^H basis, within 1e-12 of the largest
+        # entry: harness's chunks, then chunks of 1, 2 and 7 rows and the rest
+        spec, tx, basis, labels, chunks = problem
+        monomials = build_basis_matrix(tx, replace(spec, depth=1))
+        cuts = [0, 1, 3, 10, len(basis)]
+        short = [monomials[a : b + spec.depth - 1] for a, b in zip(cuts, cuts[1:])]
         explicit = basis.conj().T @ basis
-        assert np.abs(gram - explicit).max() <= 1e-12 * np.abs(explicit).max()
         explicit_rhs = labels.conj() @ basis
-        assert np.abs(rhs - explicit_rhs).max() <= 1e-12 * np.abs(explicit_rhs).max()
+        for read in (chunks, short):
+            gram, rhs = _normal_equations(iter(read), labels, spec)
+            assert np.abs(gram - explicit).max() <= 1e-12 * np.abs(explicit).max()
+            assert np.abs(rhs - explicit_rhs).max() <= 1e-12 * np.abs(explicit_rhs).max()
 
     def test_weights_and_estimate_match_the_explicit_fit(self, problem):
         # relative 2-norm differences within 1e-9
-        spec, basis, labels, chunks = problem
+        spec, _, basis, labels, chunks = problem
         fitted = ls_fit(iter(chunks), labels, spec)
         explicit = ls_fit(basis, labels, spec)
         err = np.linalg.norm(fitted.weights - explicit.weights)

@@ -9,7 +9,9 @@ hc (3 epochs) on a small 2x2 scenario (seeds 1-2) and the default 4x4 one (seed 
 per antenna, 1-3 on the default one) and nh; ``run_pc`` at P=5 and 7 on the default
 seed-1 dataset, where the fit's rounding moves most; and the CLI's exit status,
 stdout, stderr and file bytes, with the epoch CSVs also hashed per column.
-The default scenario's datasets of seeds 2-10, the acceptance seeds, are hashed too.
+The default scenario's datasets of seeds 2-10, the acceptance seeds, are hashed too,
+as is acceptance criterion 2's explicit-basis path on its noiseless seed-2 dataset:
+``ls_fit`` on a full-depth P=3 basis matrix and ``apply_basis`` on its test rows.
 Datasets alone are hashed for the scenario values that the default config does not
 exercise: no received-power calibration (at the default and at a 30 dBm transmit
 level), a fixed ADC full scale, per-antenna impairment lists, a partial ``iq``
@@ -31,7 +33,9 @@ import numpy as np  # noqa: E402
 SRC = os.path.join(os.path.abspath(sys.argv[1]), "src")
 sys.path.insert(0, SRC)
 import xlic  # noqa: E402
-from xlic import OfdmConfig, RunConfig, ScenarioSettings, TrainSettings, cli, harness  # noqa: E402
+from xlic import (  # noqa: E402
+    OfdmConfig, RunConfig, ScenarioSettings, TrainSettings, cli, harness, polynomial,
+)
 
 if not xlic.__file__.startswith(SRC + os.sep):
     sys.exit(f"xlic was imported from {xlic.__file__}, not from {SRC}")
@@ -111,6 +115,19 @@ def command_line() -> None:
                         put(f"cli/file/{name}/{column[0]}", column[1:])
 
 
+def explicit_basis() -> None:
+    """Acceptance criterion 2's fit: a basis matrix at full depth, not monomial chunks."""
+    ds = xlic.generate_dataset(ScenarioSettings(noise_enabled=False, adc_enabled=False), 2)
+    put_dataset("noiseless/s2", ds)
+    labels, split_row = harness._aligned_labels(ds)
+    spec = polynomial.BasisSpec(n_tx=ds.n_tx, depth=ds.window_depth, order=3)
+    basis = polynomial.build_basis_matrix(ds.tx, spec)
+    coeffs = polynomial.ls_fit(basis[:split_row], labels[:, :split_row], spec)
+    put("noiseless/s2/explicit_p3/weights", coeffs.weights)
+    estimate = polynomial.apply_basis(coeffs, basis[split_row:])
+    put("noiseless/s2/explicit_p3/test_estimate", estimate)
+
+
 def scenario_values() -> None:
     """Datasets of small scenarios, built from JSON-shaped dicts as a config file is."""
     uncalibrated = {"target_rx_power_dbm": None}
@@ -141,5 +158,6 @@ for order in (5, 7):
     put_result(f"default/s1/pc_p{order}", harness.run_pc(default_s1, order=order))
 for seed in range(2, 11):
     put_dataset(f"default/s{seed}", xlic.generate_dataset(default, seed))
+explicit_basis()
 command_line()
 print(json.dumps(digests, indent=1, sort_keys=True))
