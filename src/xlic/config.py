@@ -32,6 +32,9 @@ from .rf_chain import IqImbalance, PaModel
 from .waveform import OfdmConfig
 
 SCHEMA_VERSION = 1
+# Largest canceller.order: the basis has (P+1)(P+3)/4 monomials per tx antenna and lag,
+# so at P = 31 the default 4x4 scenario has 9,792 basis terms and a 1.5 GB LS Gram.
+MAX_ORDER = 31
 
 DEFAULT_PA_TAPS = [
     [[1.0, 0.0], [0.05, 0.0], [0.01, 0.0]],
@@ -177,10 +180,8 @@ class CancellerSettings:
     hc_hidden: int = 200
 
     def __post_init__(self):
-        if self.order < 1 or self.order % 2 == 0:
-            raise ConfigError(
-                f"canceller.order: must be odd and >= 1, got {self.order}"
-            )
+        if not (1 <= self.order <= MAX_ORDER) or self.order % 2 == 0:
+            raise ConfigError(f"canceller.order: must be odd, 1 to {MAX_ORDER}, got {self.order}")
         for name in ("nnc_hidden", "hc_hidden"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"canceller.{name}: must be >= 1")
@@ -311,7 +312,7 @@ def load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
         raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
     return RunConfig.from_dict(data)
 

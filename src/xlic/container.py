@@ -154,7 +154,10 @@ def read_container(path, expected_kind: str | None = None):
     if expected_kind is not None and kind != expected_kind:
         raise ContainerError(f"payload kind '{kind}' (expected '{expected_kind}')")
     (meta_len,) = rd.unpack("<Q")
-    meta = json.loads(rd.take(meta_len).decode("utf-8"))
+    try:
+        meta = json.loads(rd.take(meta_len).decode("utf-8"))
+    except RecursionError as exc:
+        raise ContainerError(f"metadata nested too deeply ({exc})") from exc
     (n_arrays,) = rd.unpack("<I")
     arrays: dict[str, np.ndarray] = {}
     for _ in range(n_arrays):

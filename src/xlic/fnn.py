@@ -11,15 +11,17 @@ bit-deterministic for a fixed seed at a fixed BLAS thread count.
 
 The arithmetic follows the dtype of the model's ``flat``: float32 for a
 float32 model, float64 for any other, and inputs are cast to it. ``train``
-steps a float32 copy of its float64 model, casting each batch and each
-evaluation chunk as it is gathered, and sums the losses in float64; the
-returned model holds the float32 weights upcast exactly to float64, so
-saved models stay float64.
+steps a float32 copy of its float64 model, casting each batch as it is
+gathered, and sums the losses in float64; the returned model holds the
+float32 weights upcast exactly to float64, so saved models stay float64.
+:func:`forward` evaluates every input ``EVAL_ROWS`` rows at a time, each
+chunk cast as it is read, so neither a float32 copy of the input nor a
+hidden array for all its rows is made.
 
 An epoch's training loss is taken from its own steps, as Keras reports it:
 the row-weighted mean of each batch's loss at the weights before that
 batch's step, which :func:`backward` records. Only the test rows are
-evaluated after each epoch.
+evaluated after each epoch, by :func:`loss_mse` of :func:`forward`.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ MODEL_KIND = "fnn-model"
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
-EVAL_ROWS = 2048  # rows per evaluation forward call; float32 hidden array 2.5 MB at 300 units
+EVAL_ROWS = 2048  # rows per forward chunk; float32 hidden array 2.5 MB at 300 units
 
 
 @dataclass
@@ -89,10 +91,6 @@ class FnnModel(_Params):
     def n_out(self) -> int:
         return self.w_out.shape[0]
 
-    @property
-    def param_count(self) -> int:
-        return (self.n_in + 1) * self.n_hidden + (self.n_hidden + 1) * self.n_out
-
     def copy(self) -> "FnnModel":
         return FnnModel(*self.params())
 
@@ -144,23 +142,29 @@ class Gradients(_Params):
 
 
 def forward(model: FnnModel, x: np.ndarray) -> np.ndarray:
-    """Evaluate the network on a batch of rows, shape ``(batch, n_in)``."""
-    x = np.asarray(x, dtype=model.flat.dtype)
+    """Evaluate the network on a batch of rows, shape ``(batch, n_in)``.
+
+    ``EVAL_ROWS`` rows at a time, each chunk cast to the model's dtype, so
+    no hidden array outgrows a chunk whatever the batch.
+    """
+    x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != model.n_in:
         raise ValueError(f"input shape {x.shape}, model expects rows of width {model.n_in}")
-    hidden = x @ model.w_hidden.T
-    hidden += model.b_hidden
-    np.maximum(hidden, 0.0, out=hidden)
-    out = hidden @ model.w_out.T
-    out += model.b_out
+    dtype = model.flat.dtype
+    out = np.empty((x.shape[0], model.n_out), dtype=dtype)
+    for a in range(0, x.shape[0], EVAL_ROWS):
+        hidden = x[a : a + EVAL_ROWS].astype(dtype, copy=False) @ model.w_hidden.T
+        hidden += model.b_hidden
+        np.maximum(hidden, 0.0, out=hidden)
+        chunk = np.matmul(hidden, model.w_out.T, out=out[a : a + EVAL_ROWS])
+        chunk += model.b_out
     return out
 
 
 def loss_mse(pred: np.ndarray, target: np.ndarray) -> float:
     """Mean over samples of the squared L2 norm of the output error."""
-    pred = np.atleast_2d(pred)
-    target = np.atleast_2d(target)
-    return float(np.mean(np.sum((pred - target) ** 2, axis=1)))
+    err = np.atleast_2d(pred) - np.atleast_2d(target)
+    return float(np.mean(np.sum(np.square(err, out=err), axis=1)))
 
 
 def backward(model: FnnModel, x: np.ndarray, y: np.ndarray, out=None) -> Gradients:
@@ -255,18 +259,6 @@ class TrainResult:
     best_epoch: int  # 1-based epoch whose weights were retained
 
 
-def _eval_loss(model: FnnModel, x: np.ndarray, y: np.ndarray) -> float:
-    """:func:`loss_mse` of :func:`forward`, ``EVAL_ROWS`` rows per call, one mean.
-
-    The error is taken against the float64 ``y`` and summed in float64.
-    """
-    sq_err = np.empty(x.shape[0])
-    for start in range(0, x.shape[0], EVAL_ROWS):
-        err = forward(model, x[start : start + EVAL_ROWS]) - y[start : start + EVAL_ROWS]
-        np.square(err, out=err).sum(axis=1, out=sq_err[start : start + EVAL_ROWS])
-    return float(np.mean(sq_err))
-
-
 # A diverging run overflows; its losses and the CLI's warning report it, not NumPy.
 @np.errstate(over="ignore", invalid="ignore")
 def train(
@@ -284,13 +276,14 @@ def train(
     drawn from ``shuffle_seed``; each batch is gathered from the training
     rows by that order, so no shuffled copy of the training set is made,
     and takes one :func:`adam_step` on its :func:`backward` gradients. The
-    steps update a float32 copy of ``model``; each batch and each evaluation
-    chunk is cast from the float64 rows as it is gathered, so no float32
-    copy of the training set is made. An epoch's training loss is the mean
-    over its batches of each batch's ``Gradients.loss``, weighted by the
-    batch's rows and summed in float64: the loss at the weights before
-    each step, against the float32-rounded labels. Its test loss is
-    evaluated on the test rows after the epoch's last step. The returned
+    steps update a float32 copy of ``model``; each batch is cast from the
+    float64 rows as it is gathered, so no float32 copy of the training set
+    is made. An epoch's training loss is the mean over its batches of each
+    batch's ``Gradients.loss``, weighted by the batch's rows and summed in
+    float64: the loss at the weights before each step, against the
+    float32-rounded labels. Its test loss is ``loss_mse(forward(...))`` on
+    the test rows after the epoch's last step; :func:`forward` casts and
+    evaluates them ``EVAL_ROWS`` at a time. The returned
     model carries the weights of the epoch with the lowest test loss, as
     float32 weights in ``model``'s dtype; ``model`` itself is only read.
     """
@@ -320,7 +313,7 @@ def train(
             adam_step(work, state, grads, cfg)
 
         train_losses.append(sq_err / n_train)
-        test_losses.append(_eval_loss(work, x_test, y_test))
+        test_losses.append(loss_mse(forward(work, x_test), y_test))
         if test_losses[-1] < best_loss:
             best_loss = test_losses[-1]
             best_model = work.copy()

@@ -32,7 +32,7 @@ import numpy as np
 
 from .channel import measure_power_dbm
 from .config import CancellerSettings, TrainSettings, derive_rng
-from .fnn import EVAL_ROWS, FnnModel, forward, nnc_complexity, nnc_param_count, train
+from .fnn import FnnModel, forward, nnc_complexity, nnc_param_count, train
 from .polynomial import (
     CHUNK_ROWS,
     BasisSpec,
@@ -264,10 +264,7 @@ def _fit_network(
         shuffle_seed=_train_seed(ds, canceller, "shuffle"),
     )
     s_test = labels[:, split_row:]
-    # EVAL_ROWS rows per call, so no (rows x n_hidden) array spans the test set.
-    pred = np.vstack(
-        [forward(fit.model, x[a : a + EVAL_ROWS]) for a in range(split_row, len(x), EVAL_ROWS)]
-    )
+    pred = forward(fit.model, x[split_row:])
     pred *= scale
     signal_power = float(np.sum(np.abs(s_test) ** 2))
     denom = np.asarray(fit.test_losses) * s_test.shape[1] * scale**2

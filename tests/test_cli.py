@@ -4,16 +4,20 @@ import json
 import os
 import re
 import stat
+import struct
 import subprocess
 import sys
 import warnings
+import zlib
 from pathlib import Path
 
 import pytest
 
 from conftest import small_ofdm
 from xlic.cli import RESULT_FIELDS, _warn_if_diverged, main
-from xlic.config import RunConfig, ScenarioSettings, load_config, save_config
+from xlic.config import (
+    CancellerSettings, ConfigError, RunConfig, ScenarioSettings, load_config, save_config,
+)
 from xlic.harness import CancellerResult
 import dataclasses
 
@@ -351,6 +355,7 @@ class TestGenerate:
             (_set("scenario", "ofdm", [{}]), "scenario.ofdm: expected an object, got list"),
             (_set("scenario", "iq", []), "scenario.iq: expected an object, got list"),
             (lambda cfg: "{", "config file {path}: invalid JSON ("),
+            (lambda cfg: "[" * 200_000, "config file {path}: invalid JSON ("),
         ],
         ids=[
             "per_antenna_entry",
@@ -366,6 +371,7 @@ class TestGenerate:
             "ofdm_list",
             "empty_iq_list",
             "json",
+            "json_nesting",
         ],
     )
     def test_config_error_is_one_line(self, tmp_path, capsys, edit, where):
@@ -548,6 +554,27 @@ class TestRun:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_deeply_nested_metadata_is_one_line(self, pipeline, capsys):
+        # a dataset container with a valid CRC whose metadata nests past the
+        # JSON decoder's recursion limit
+        from xlic.container import FORMAT_VERSION, MAGIC
+        from xlic.scenario import DATASET_KIND
+
+        cfg, ds, tmp = pipeline
+        kind, meta = DATASET_KIND.encode(), b"[" * 200_000
+        body = b"".join([
+            MAGIC, struct.pack("<IH", FORMAT_VERSION, len(kind)), kind,
+            struct.pack("<Q", len(meta)), meta, struct.pack("<I", 0),
+        ])
+        Path(ds).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        out = tmp / "results.csv"
+        assert run_cli("run", "--config", cfg, "--dataset", ds, "--canceller", "tc",
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset: metadata nested too deeply (")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_dataset_reported(self, pipeline, capsys):
         cfg, _, tmp = pipeline
         assert run_cli("run", "--config", cfg, "--dataset", str(tmp / "no.bin"),
@@ -608,6 +635,19 @@ class TestSweep:
                        "--values=0,-5", "--out", str(out), "--no-train") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ConfigError: canceller.nnc_hidden")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_huge_order_rejected_at_once(self, pipeline, capsys):
+        # checked before pc's counts, whose exact 6**(P+2) at this order is a long computation
+        with pytest.raises(ConfigError, match=r"^canceller\.order: "):
+            CancellerSettings(order=10**8 + 1)
+        cfg, ds, tmp = pipeline
+        out = tmp / "s.csv"
+        assert run_cli("sweep", "--config", cfg, "--dataset", ds, "--axis", "P",
+                       "--values", "100000001", "--out", str(out), "--no-train") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: canceller.order: ")
         assert err.count("\n") == 1
         assert not out.exists()
 

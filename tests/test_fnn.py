@@ -84,7 +84,6 @@ class TestFlatParameters:
 
     def test_fields_are_views_into_flat(self, rng):
         model = tiny_model(rng)
-        assert model.flat.size == model.param_count
         assert_array_equal(model.flat, np.concatenate([p.ravel() for p in model.params()]))
         model.flat[:] = 7.0
         for p in model.params():
@@ -121,6 +120,18 @@ class TestForward:
         scaled.b_out *= 2.5
         x = rng.standard_normal((3, 4))
         assert_allclose(forward(scaled, x), 2.5 * forward(model, x))
+
+    def test_hidden_array_is_chunked(self, rng):
+        # float64, 300 hidden units: all 20,000 rows' hidden array is 48 MB
+        model = FnnModel.initialize(4, 300, 2, seed=1)
+        x = rng.standard_normal((20000, 4))
+        tracemalloc.start()
+        try:
+            forward(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(x) * model.n_hidden * model.flat.itemsize / 4
 
     def test_dimension_mismatch_rejected(self, rng):
         model = tiny_model(rng)
@@ -392,19 +403,21 @@ class TestTrain:
             tracemalloc.stop()
         assert peak < x.nbytes / 4
 
-    def test_chunked_losses_equal_whole_batch_loss(self, rng):
+    @pytest.mark.parametrize("n_hidden", [8, 300])
+    def test_chunked_losses_equal_whole_batch_loss(self, rng, n_hidden):
         # 4,101 test rows end in a 5-row chunk; with one epoch the final
         # weights are the scored ones. The training loss comes from the
         # steps (test_train_is_the_tested_step).
-        # At this width each chunk's rows equal the whole-batch product's.
-        # At 300 hidden units a few rows of a chunk differ from it in the
-        # last bit (OpenBLAS picks kernels by matrix size), so there the
-        # losses' equality is measured rather than built in.
+        # forward itself evaluates EVAL_ROWS rows at a time, so train's test
+        # loss and a forward call on the whole test set are the same
+        # arithmetic at every width. At 300 hidden units a separately
+        # chunked evaluation would differ from an unchunked product in the
+        # last bit of a few rows (OpenBLAS picks kernels by matrix size).
         x = rng.standard_normal((2100, 4))
         y = rng.standard_normal((2100, 2))
         x_test = rng.standard_normal((4101, 4))
         y_test = rng.standard_normal((4101, 2))
-        model = FnnModel.initialize(4, 8, 2, seed=3)
+        model = FnnModel.initialize(4, n_hidden, 2, seed=3)
         cfg = TrainSettings(epochs=1, batch_size=64, learning_rate=1e-2)
         fit = train(model, x, y, x_test, y_test, cfg, shuffle_seed=4)
         stepped = as_float32(fit.model)
@@ -521,7 +534,7 @@ class TestCounts:
 
     def test_model_parameter_total_matches_count_minus_normalizers(self):
         model = FnnModel.initialize(2 * 4 * 9, 300, 2 * 4, seed=0)
-        assert model.param_count == nnc_param_count(4, 4, 2, 7, 300) - 2
+        assert model.flat.size == nnc_param_count(4, 4, 2, 7, 300) - 2
 
 
 class TestSerialization:

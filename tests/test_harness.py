@@ -178,7 +178,7 @@ class TestRunners:
         assert hc.c_db == pytest.approx(run_tc(small_ds).c_db, rel=1e-9)
 
     def test_hc_stage1_is_the_tc_fit_bit_for_bit(self, long_ds):
-        # tc fits from basis blocks, hc from its whole basis: one LS fit
+        # both stage-1 fits go through _linear_fit from monomial chunks: one LS fit
         tc = run_tc(long_ds)
         hc = run_hc(long_ds, 8, TrainSettings(epochs=1, learning_rate=1e-3))
         stage1 = hc.artifacts["stage1"].weights
