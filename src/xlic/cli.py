@@ -112,6 +112,10 @@ def _read_csv(path: str, required_fields: list[str]) -> list[dict]:
     missing = [f for f in required_fields if f not in header]
     if missing:
         raise CliError(f"schema: {path} is missing column '{missing[0]}'")
+    # DictReader fills a short row's gaps, and keys a long row's extras, with None
+    ragged = next((i for i, r in enumerate(rows, 1) if None in r or None in r.values()), 0)
+    if ragged:
+        raise CliError(f"schema: {path}: row {ragged} does not have {len(header)} fields")
     return rows
 
 

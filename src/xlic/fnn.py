@@ -13,7 +13,7 @@ The arithmetic follows the dtype of the model's ``flat``: float32 for a
 float32 model, float64 for any other, and inputs are cast to it. ``train``
 steps a float32 copy of its float64 model, casting each batch as it is
 gathered, and sums the losses in float64; the returned model holds the
-float32 weights upcast exactly to float64, so saved models stay float64.
+last epoch's weights upcast exactly to float64, so saved models stay float64.
 :func:`forward` evaluates every input ``EVAL_ROWS`` rows at a time, each
 chunk cast as it is read, so neither a float32 copy of the input nor a
 hidden array for all its rows is made.
@@ -90,9 +90,6 @@ class FnnModel(_Params):
     @property
     def n_out(self) -> int:
         return self.w_out.shape[0]
-
-    def copy(self) -> "FnnModel":
-        return FnnModel(*self.params())
 
     @classmethod
     def initialize(
@@ -253,10 +250,9 @@ def adam_step(
 
 @dataclass
 class TrainResult:
-    model: FnnModel  # parameters from the best test-loss epoch
+    model: FnnModel  # the weights after the last epoch's last step
     train_losses: list[float]  # each epoch's batch losses, row-weighted, before each step
-    test_losses: list[float]
-    best_epoch: int  # 1-based epoch whose weights were retained
+    test_losses: list[float]  # each epoch's loss on the test rows, after its last step
 
 
 # A diverging run overflows; its losses and the CLI's warning report it, not NumPy.
@@ -283,9 +279,10 @@ def train(
     float64: the loss at the weights before each step, against the
     float32-rounded labels. Its test loss is ``loss_mse(forward(...))`` on
     the test rows after the epoch's last step; :func:`forward` casts and
-    evaluates them ``EVAL_ROWS`` at a time. The returned
-    model carries the weights of the epoch with the lowest test loss, as
-    float32 weights in ``model``'s dtype; ``model`` itself is only read.
+    evaluates them ``EVAL_ROWS`` at a time. The returned model carries
+    the last epoch's float32 weights in ``model``'s dtype, whatever the
+    test losses read (non-finite weights raise ``ValueError``); ``model``
+    itself is only read.
     """
     x_train = np.ascontiguousarray(x_train, dtype=np.float64)
     y_train = np.ascontiguousarray(y_train, dtype=np.float64)
@@ -299,11 +296,7 @@ def train(
 
     train_losses: list[float] = []
     test_losses: list[float] = []
-    best_loss = np.inf
-    best_model = None
-    best_epoch = 0
-
-    for epoch in range(1, cfg.epochs + 1):
+    for _ in range(cfg.epochs):
         order = rng.permutation(n_train)
         sq_err = 0.0
         for start in range(0, n_train, cfg.batch_size):
@@ -314,17 +307,11 @@ def train(
 
         train_losses.append(sq_err / n_train)
         test_losses.append(loss_mse(forward(work, x_test), y_test))
-        if test_losses[-1] < best_loss:
-            best_loss = test_losses[-1]
-            best_model = work.copy()
-            best_epoch = epoch
 
-    best = work if best_model is None else best_model
     return TrainResult(
-        model=FnnModel(*(p.astype(model.flat.dtype) for p in best.params())),
+        model=FnnModel(*(p.astype(model.flat.dtype) for p in work.params())),
         train_losses=train_losses,
         test_losses=test_losses,
-        best_epoch=best_epoch,
     )
 
 

@@ -106,7 +106,6 @@ class CancellerResult:
     rx_power_dbm: float | None = None
     noise_floor_dbm: float | None = None
     epochs: int | None = None
-    best_epoch: int | None = None
     setting: int | None = None  # swept value (order or hidden width)
     train_losses: list[float] | None = field(default=None, repr=False)
     test_losses: list[float] | None = field(default=None, repr=False)
@@ -241,8 +240,9 @@ def _fit_network(
     and ``target`` are aligned with the labels. ``base`` is the estimate
     over the test rows that the network's output adds to: 0 for nnc, the
     stage-1 estimate for hc, whose network starts from ``residual=True``.
-    The per-epoch C_dB history follows from the test losses, which are
-    mean squared errors in units of ``scale``.
+    The score, the saved model and ``residual_dbm`` are those of the final
+    epoch's weights. The per-epoch C_dB history follows from the test
+    losses, which are mean squared errors in units of ``scale``.
     """
     labels, split_row = _aligned_labels(ds)
     x /= ds.input_scale
@@ -276,7 +276,6 @@ def _fit_network(
         n_hidden,
         base + deinterleave_iq(pred),
         epochs=len(fit.train_losses),
-        best_epoch=fit.best_epoch,
         train_losses=fit.train_losses,
         test_losses=fit.test_losses,
         c_db_history=c_db_history,

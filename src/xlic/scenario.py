@@ -95,6 +95,15 @@ class CliDataset:
             )
         if not isinstance(self.meta, dict):
             raise ValueError(f"meta must be an object, got {type(self.meta).__name__}")
+        seed, scenario = self.meta.get("seed", 0), self.meta.get("scenario", {})
+        if not (_is_int(seed) and seed >= 0):
+            raise ValueError(f"meta.seed must be an integer >= 0, got {seed!r}")
+        if not isinstance(scenario, dict):
+            raise ValueError(f"meta.scenario must be an object, got {type(scenario).__name__}")
+        if not isinstance(scenario.get("noise_enabled", False), bool):
+            raise ValueError("meta.scenario.noise_enabled must be true or false")
+        if not _is_number(scenario.get("awgn_power_dbm", 0.0)):
+            raise ValueError("meta.scenario.awgn_power_dbm must be a finite number")
 
     @property
     def n_tx(self) -> int:

@@ -526,6 +526,12 @@ class TestRun:
             (lambda h, a: h.update(split_index=4), "error: ValueError: split_index 4 leaves"),
             (lambda h, a: _set_last(a, "rx", float("inf")), "error: ValueError: rx must hold"),
             (lambda h, a: _set_last(a, "tx", float("nan")), "error: ValueError: tx must hold"),
+            (lambda h, a: h["meta"].update(seed=None), "error: ValueError: meta.seed must be"),
+            (lambda h, a: h["meta"].update(scenario=[]), "error: ValueError: meta.scenario must"),
+            (
+                lambda h, a: h["meta"]["scenario"].update(awgn_power_dbm=[1]),
+                "error: ValueError: meta.scenario.awgn_power_dbm must",
+            ),
         ],
         ids=[
             "missing_scale",
@@ -536,6 +542,9 @@ class TestRun:
             "short_split",
             "inf_test_label",
             "nan_sample",
+            "meta_seed_null",
+            "meta_scenario_list",
+            "meta_awgn_list",
         ],
     )
     def test_malformed_dataset_is_one_line(self, pipeline, capsys, edit, expected):
@@ -811,6 +820,27 @@ class TestReport:
         assert err.count("\n") == 1 and err.endswith("\n")
         if command == "run":
             assert set(tmp.iterdir()) == before  # no coefficients file saved
+
+    @pytest.mark.parametrize("command", ["report", "run"])
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["short_row", "long_row"])
+    def test_ragged_row_is_one_error_line(self, pipeline, capsys, command, extra):
+        # a row with one field fewer, or one more, than its header
+        cfg, ds, tmp = pipeline
+        ragged = tmp / "ragged.csv"
+        row = ["tc", "1", "", "12.5"] + [""] * (len(RESULT_FIELDS) - 4 + extra)
+        ragged.write_text(",".join(RESULT_FIELDS) + "\n" + ",".join(row) + "\n")
+        before = ragged.read_bytes()
+        capsys.readouterr()
+        if command == "report":
+            argv = ["report", "--results", str(ragged), "--out-dir", str(tmp / "report")]
+        else:
+            argv = ["run", "--config", cfg, "--dataset", ds, "--canceller", "tc",
+                    "--out", str(ragged)]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: schema: {ragged}: row 1 ")
+        assert err.count("\n") == 1
+        assert ragged.read_bytes() == before
 
     def test_missing_results_is_one_line(self, tmp_path, capsys):
         missing = tmp_path / "none.csv"

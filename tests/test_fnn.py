@@ -68,7 +68,7 @@ class TestInitialize:
 
 
 class TestFlatParameters:
-    def test_constructor_copies_and_copy_is_independent(self, rng):
+    def test_constructor_copies(self, rng):
         arrays = tiny_model(rng).params()
         saved = [a.copy() for a in arrays]
         model = FnnModel(*arrays)
@@ -76,11 +76,6 @@ class TestFlatParameters:
             a[...] = 0.0
         for p, s in zip(model.params(), saved):
             assert_array_equal(p, s)
-        twin = model.copy()
-        twin.flat[:] = 0.0
-        for p, s in zip(model.params(), saved):
-            assert_array_equal(p, s)
-        assert not np.shares_memory(twin.flat, model.flat)
 
     def test_fields_are_views_into_flat(self, rng):
         model = tiny_model(rng)
@@ -115,7 +110,7 @@ class TestForward:
 
     def test_positively_homogeneous_in_output_layer(self, rng):
         model = tiny_model(rng)
-        scaled = model.copy()
+        scaled = FnnModel(*model.params())
         scaled.w_out *= 2.5
         scaled.b_out *= 2.5
         x = rng.standard_normal((3, 4))
@@ -251,7 +246,7 @@ class TestAdam:
         y = rng.standard_normal((5, 2))
         cfg = TrainSettings(learning_rate=1e-2)
         a = tiny_model(rng)
-        b = a.copy()
+        b = FnnModel(*a.params())
         before = a.flat.copy()
         grads = backward(a, x, y)
         hand = Gradients(*(g.copy() for g in grads.params()))
@@ -322,18 +317,15 @@ class TestTrain:
         cfg = TrainSettings(epochs=20, learning_rate=1e-3)
         fit = train(model, x, y, x[:100], y[:100], cfg, shuffle_seed=3)
         assert np.all(np.isfinite(fit.train_losses))
-        assert min(fit.test_losses) == fit.test_losses[fit.best_epoch - 1]
 
-    def test_best_model_retention(self, rng):
+    def test_final_model_retention(self, rng):
         x = rng.standard_normal((200, 4))
         y = rng.standard_normal((200, 2))
         model = FnnModel.initialize(4, 4, 2, seed=7)
         cfg = TrainSettings(epochs=5, learning_rate=1e-3)
         fit = train(model, x, y, x, y, cfg, shuffle_seed=8)
-        # retained model reproduces the recorded best loss
-        assert loss_mse(forward(fit.model, x), y) == pytest.approx(
-            min(fit.test_losses)
-        )
+        # the returned model reproduces the last epoch's recorded test loss
+        assert loss_mse(forward(fit.model, x), y) == pytest.approx(fit.test_losses[-1])
 
     def test_empty_training_set_rejected(self, rng):
         with pytest.raises(ValueError, match="empty"):
@@ -358,17 +350,18 @@ class TestTrain:
     def test_train_is_the_tested_step(self, rng):
         # train must be exactly seeded permutation batches through
         # adam_step(backward(...)) on a float32 copy of the model; 37 rows
-        # at batch 8 end in a tail of 5
+        # at batch 8 end in a tail of 5. At this rate the test loss is
+        # lowest at the first epoch, yet the last epoch's weights come back.
         x = rng.standard_normal((37, 4))
         y = rng.standard_normal((37, 2))
-        cfg = TrainSettings(epochs=3, batch_size=8, learning_rate=1e-2)
+        cfg = TrainSettings(epochs=3, batch_size=8, learning_rate=0.3)
         trained = FnnModel.initialize(4, 5, 2, seed=7)
         fit = train(trained, x, y, x, y, cfg, shuffle_seed=8)
 
         model = as_float32(FnnModel.initialize(4, 5, 2, seed=7))
         state = AdamState.for_model(model)
         shuffle = np.random.default_rng(8)
-        losses, epochs = [], []
+        losses, test_losses = [], []
         for _ in range(cfg.epochs):
             order = shuffle.permutation(len(x))
             sq_err = 0.0
@@ -382,10 +375,13 @@ class TestTrain:
                 sq_err += grads.loss * rows.size
                 adam_step(model, state, grads, cfg)
             losses.append(sq_err / len(x))
-            epochs.append(model.copy())
+            test_losses.append(loss_mse(forward(model, x), y))
         assert state.t == 3 * 5
         assert fit.train_losses == losses
-        for a, b in zip(fit.model.params(), epochs[fit.best_epoch - 1].params()):
+        assert fit.test_losses == test_losses
+        # the last epoch is returned even where an earlier one scored lower
+        assert min(test_losses) < test_losses[-1]
+        for a, b in zip(fit.model.params(), model.params()):
             assert_array_equal(a, b.astype(np.float64))
 
     def test_no_shuffled_copy_of_the_training_set(self, rng):
@@ -464,7 +460,7 @@ class TestTrain:
         x = rng.standard_normal((40, 4))
         y = rng.standard_normal((40, 2))
         model = FnnModel.initialize(4, 5, 2, seed=7)
-        initial = model.copy()
+        initial = FnnModel(*model.params())
         cfg = TrainSettings(epochs=2, batch_size=8, learning_rate=1e-2)
         fit = train(model, x, y, x, y, cfg, shuffle_seed=8)
         for p, p0 in zip(model.params(), initial.params()):
