@@ -15,7 +15,8 @@ residual power in dBm and the canceller's parameter/complexity counts.
     hc   tc first, then a network trained on the stage-1 residual
 
 Each idea has one implementation: ``_linear_fit`` is the LS fit of tc, pc
-and hc's stage 1, by ``ls_fit`` from the basis's monomials in chunks;
+and hc's stage 1 from the basis's monomials in chunks, of one basis or of
+every order of a P sweep in one pass;
 ``_fit_network`` scales, trains and scores the networks of nnc and hc;
 the ``CANCELLERS`` table names every canceller with its counts, for
 scored rows and counts-only sweeps alike, and its settings field.
@@ -36,9 +37,12 @@ from .fnn import FnnModel, forward, nnc_complexity, nnc_param_count, train
 from .polynomial import (
     CHUNK_ROWS,
     BasisSpec,
+    _normal_equations,
+    _solve,
     apply_basis,
     build_basis_matrix,
-    ls_fit,
+    ls_fit,  # noqa: F401 - uncalled, but perfbench/layers.py wraps harness.ls_fit
+    nested_columns,
     pc_complexity,
     pc_param_count,
     tc_complexity,
@@ -192,31 +196,56 @@ def _monomial_chunks(ds: CliDataset, spec: BasisSpec, start: int, stop: int):
         yield build_basis_matrix(ds.tx[:, a : b + spec.depth - 1], monomials)
 
 
-def _linear_fit(ds: CliDataset, spec: BasisSpec):
-    """LS-fit ``spec``'s basis on the training rows; estimate the test rows.
+def _linear_fit(ds: CliDataset, specs: list[BasisSpec]):
+    """LS-fit each of ``specs``' bases on the training rows; estimate the test rows.
 
-    Fit and estimate read the basis's monomials chunk by chunk, so neither
-    builds a basis block.
+    Every spec is nested in the one with the most terms (``nested_columns``).
+    One pass over that basis's training monomials gives its normal
+    equations, and each smaller spec takes a copy of its sub-block before
+    the largest is solved in place. The specs are solved in their order, the
+    first singular one raising, and then one pass over the test monomials
+    estimates each from its own columns. Fit and estimate read the
+    monomials chunk by chunk, so neither builds a basis block. Returns
+    ``(coefficients, test estimate)`` per spec.
     """
     labels, split_row = _aligned_labels(ds)
-    train = _monomial_chunks(ds, spec, 0, split_row)
-    coeffs = ls_fit(train, labels[:, :split_row], spec)
-    test = _monomial_chunks(ds, spec, split_row, labels.shape[1])
-    return coeffs, np.hstack([apply_basis(coeffs, u) for u in test])
+    big = max(specs, key=lambda spec: spec.n_terms)
+    gram, rhs = _normal_equations(
+        _monomial_chunks(ds, big, 0, split_row), labels[:, :split_row], big
+    )
+    columns = {spec: nested_columns(spec, big) for spec in specs if spec != big}
+    equations = {spec: (gram[np.ix_(c, c)], rhs[:, c]) for spec, c in columns.items()}
+    equations[big] = gram, rhs
+    fits = {spec: _solve(*equations.pop(spec), spec, split_row) for spec in dict.fromkeys(specs)}
+    monomials = {
+        spec: nested_columns(replace(spec, depth=1), replace(big, depth=1)) for spec in columns
+    }
+    estimates = {spec: [] for spec in fits}
+    for u in _monomial_chunks(ds, big, split_row, labels.shape[1]):
+        for spec, coeffs in fits.items():
+            chunk = u[:, monomials[spec]] if spec in monomials else u
+            estimates[spec].append(apply_basis(coeffs, chunk))
+    return [(fits[spec], np.hstack(estimates[spec])) for spec in specs]
 
 
 def run_tc(ds: CliDataset) -> CancellerResult:
     """Fit and score the linear (CSI-style) canceller."""
-    spec = BasisSpec.linear(ds.n_tx, ds.window_depth)
-    coeffs, s_hat = _linear_fit(ds, spec)
+    [(coeffs, s_hat)] = _linear_fit(ds, [BasisSpec.linear(ds.n_tx, ds.window_depth)])
     return _score("tc", ds, None, s_hat, artifacts={"coefficients": coeffs})
+
+
+def _pc_rows(ds: CliDataset, orders: list[int]) -> list[CancellerResult]:
+    """Fit and score the polynomial canceller at each odd order, in one :func:`_linear_fit`."""
+    specs = [BasisSpec(n_tx=ds.n_tx, depth=ds.window_depth, order=order) for order in orders]
+    return [
+        _score("pc", ds, spec.order, s_hat, artifacts={"coefficients": coeffs})
+        for spec, (coeffs, s_hat) in zip(specs, _linear_fit(ds, specs))
+    ]
 
 
 def run_pc(ds: CliDataset, order: int = 3) -> CancellerResult:
     """Fit and score the polynomial canceller of the given odd order."""
-    spec = BasisSpec(n_tx=ds.n_tx, depth=ds.window_depth, order=order)
-    coeffs, s_hat = _linear_fit(ds, spec)
-    return _score("pc", ds, order, s_hat, artifacts={"coefficients": coeffs})
+    return _pc_rows(ds, [order])[0]
 
 
 def _train_seed(ds: CliDataset, canceller: str, purpose: str):
@@ -323,7 +352,7 @@ def run_hc(ds: CliDataset, n_hidden: int, cfg: TrainSettings) -> CancellerResult
     labels, split_row = _aligned_labels(ds)
     spec = BasisSpec.linear(ds.n_tx, ds.window_depth)
     basis = build_basis_matrix(ds.tx, spec)
-    coeffs, s_test = _linear_fit(ds, spec)
+    [(coeffs, s_test)] = _linear_fit(ds, [spec])
     residual = labels - np.hstack([apply_basis(coeffs, basis[:split_row]), s_test])
     residual_scale = float(np.abs(residual[:, :split_row]).max())
     # The residual is done with the basis; _fit_network scales it in place as real windows.
@@ -375,8 +404,10 @@ def sweep(
     ``axis="P"`` sweeps the polynomial canceller order (odd values);
     ``axis="nh"`` sweeps the hidden width of both network-based
     cancellers. With ``with_performance=False`` only the counting columns
-    are filled (no fitting or training). A value the config would reject
-    raises ``ConfigError`` before any row is made.
+    are filled (no fitting or training). An order sweep fits every order
+    from one pass over the largest order's monomials; each row equals
+    :func:`run_pc`'s at its order bit for bit. A value the config would
+    reject raises ``ConfigError`` before any row is made.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis '{axis}' (expected 'P' or 'nh')")
@@ -384,12 +415,12 @@ def sweep(
     values = list(values)
     for value in values:
         CancellerSettings(**{CANCELLERS[c][2]: value for c in cancellers})
-    rows: list[CancellerResult] = []
-    for value in values:
-        for canceller in cancellers:
-            if with_performance:
-                row = run_canceller(ds, canceller, train_cfg=train_cfg, **{arg: value})
-            else:
-                row = _counted(canceller, ds, value)
-            rows.append(row)
-    return rows
+    if not with_performance:
+        return [_counted(canceller, ds, value) for value in values for canceller in cancellers]
+    if axis == "P":
+        return _pc_rows(ds, values) if values else []
+    return [
+        run_canceller(ds, canceller, train_cfg=train_cfg, **{arg: value})
+        for value in values
+        for canceller in cancellers
+    ]

@@ -26,7 +26,9 @@ products per chunk of ``CHUNK_ROWS + depth - 1`` monomial samples, about
 ``depth / 2`` times fewer flops than ``blk^H blk`` over the same rows' basis
 block, and holds one chunk and one Gram whatever the number of rows; a
 basis matrix is the same sum at lag depth 1, with no blocks to fill.
-``G`` is scaled to unit diagonal, its condition checked and then solved.
+``G`` is scaled to unit diagonal in place, its condition checked and
+then solved.
+
 The scaling is what makes the normal equations usable here: the unscaled
 P=7 columns of the default 47 dBm data span many decades of power, and an
 SVD ``lstsq`` on them judged the basis rank deficient on 8 of seeds 1-10.
@@ -35,6 +37,14 @@ Scaled, the P=7 Gram's 2-norm condition on those seeds is 3.4e9-5.9e9
 with the SVD fit within 2e-6 dB at every order where that fit succeeds.
 On the noiseless P=3 chain (acceptance criterion 2) the relative LS
 residual is 1.2e-13.
+
+Orders nest: a lower order's ``pq_pairs`` are a prefix of a higher
+order's, so its Gram and right-hand sides are sub-blocks of the higher
+order's (:func:`nested_columns`). A P sweep (``harness.sweep``) sums the
+normal equations once, for its largest order, and solves each order from
+a copy of its sub-block. Each order's weights equal its own fit's bit for
+bit as long as BLAS sums each entry of a product in the same order
+whatever the product's width, as OpenBLAS does.
 """
 
 from __future__ import annotations
@@ -195,8 +205,6 @@ def _normal_equations(basis, labels: np.ndarray, spec: BasisSpec):
         tail = u[n:].copy()
     if rows < labels.shape[1]:
         raise ValueError(f"labels have {labels.shape[1]} rows, basis has {rows}")
-    if rows < spec.n_terms:
-        raise ValueError(f"underdetermined fit: {rows} rows < {spec.n_terms} columns")
     depth, width = column.shape[:2]
     gram = np.empty((spec.n_terms, spec.n_terms), dtype=np.complex128)
     blocks = gram.reshape(width, depth, width, depth).transpose(1, 3, 0, 2)  # [m, m', k, l]
@@ -233,13 +241,24 @@ def ls_fit(
     Gram is not positive definite with a 2-norm condition of at most
     ``MAX_CONDITION`` raises :class:`SingularBasisError` with the estimate.
     That check is what lets one LU solve stand for a Cholesky solve.
+    The fit is :func:`_normal_equations` followed by :func:`_solve`.
     """
-    gram, rhs = _normal_equations(basis, labels, spec)
+    labels = np.atleast_2d(labels)
+    return _solve(*_normal_equations(basis, labels, spec), spec, labels.shape[1])
+
+
+def _solve(gram: np.ndarray, rhs: np.ndarray, spec: BasisSpec, rows: int) -> PolyCoefficients:
+    """Weights from the normal equations of :func:`ls_fit`; ``gram`` is scaled in place.
+
+    ``rows`` is the number of basis rows that the Gram sums.
+    """
+    if rows < spec.n_terms:
+        raise ValueError(f"underdetermined fit: {rows} rows < {spec.n_terms} columns")
     scale = np.sqrt(gram.diagonal().real)
     cond = np.inf
     if np.all(scale > 0):
-        scaled = gram / np.outer(scale, scale)
-        eig = np.linalg.eigvalsh(scaled)
+        np.divide(gram, np.outer(scale, scale), out=gram)
+        eig = np.linalg.eigvalsh(gram)
         if eig[0] > 0:
             cond = eig[-1] / eig[0]
     if cond > MAX_CONDITION:
@@ -247,8 +266,23 @@ def ls_fit(
             f"basis is singular: scaled condition estimate {cond:.3e} "
             f"(limit {MAX_CONDITION:.0e})"
         )
-    solution = np.linalg.solve(scaled, rhs.conj().T / scale[:, None]) / scale[:, None]
+    solution = np.linalg.solve(gram, rhs.conj().T / scale[:, None]) / scale[:, None]
     return PolyCoefficients(basis=spec, weights=solution.T)
+
+
+def nested_columns(spec: BasisSpec, big: BasisSpec) -> np.ndarray:
+    """Indices of ``spec``'s basis columns among ``big``'s.
+
+    ``build_basis_matrix(tx, big)[:, cols]`` is ``build_basis_matrix(tx,
+    spec)``. Both share ``n_tx`` and ``depth``, and ``spec``'s ``pq_pairs``
+    are a prefix of ``big``'s, as a lower order's are of a higher one's.
+    Columns are laid out ``(a, j, m)``: antenna-major, then the pair index
+    ``j``, then the lag ``m``.
+    """
+    pairs = len(spec.pq_pairs)
+    if (spec.n_tx, spec.depth, spec.pq_pairs) != (big.n_tx, big.depth, big.pq_pairs[:pairs]):
+        raise ValueError(f"{spec} is not nested in {big}")
+    return np.arange(big.n_terms).reshape(big.n_tx, -1, big.depth)[:, :pairs].ravel()
 
 
 def apply_basis(coeffs: PolyCoefficients, basis: np.ndarray) -> np.ndarray:

@@ -329,11 +329,40 @@ class TestSweep:
         assert all(np.isfinite(r.c_db) for r in scored)
 
     def test_order_axis_rows_equal_run_pc_bit_for_bit(self, long_ds):
-        for row in sweep(long_ds, "P", [1, 3, 5], with_performance=True):
+        # unsorted, with a repeat; P=7 has 200 terms here
+        values = [7, 1, 5, 3, 3]
+        rows = sweep(long_ds, "P", values, with_performance=True)
+        assert [row.setting for row in rows] == values
+        for row in rows:
             alone = run_pc(long_ds, order=row.setting)
             assert np.float64(row.c_db).tobytes() == np.float64(alone.c_db).tobytes()
             weights = row.artifacts["coefficients"].weights
             assert weights.tobytes() == alone.artifacts["coefficients"].weights.tobytes()
+
+    def test_order_axis_builds_the_largest_order_monomials_once(self, long_ds, monkeypatch):
+        calls = []
+
+        def counted(tx, spec):
+            calls.append(spec.order)
+            return build_basis_matrix(tx, spec)
+
+        monkeypatch.setattr(harness, "build_basis_matrix", counted)
+        run_pc(long_ds, order=7)
+        alone = list(calls)
+        calls.clear()
+        sweep(long_ds, "P", [1, 3, 5, 7], with_performance=True)
+        assert calls == alone
+
+    def test_first_singular_order_raises_as_run_pc(self, small_ds):
+        # constant modulus: x * |x|^2 = x, so P=3 repeats P=1's columns
+        phase = np.angle(small_ds.tx)
+        ds = replace(small_ds, tx=np.exp(1j * phase))
+        run_pc(ds, order=1)  # P=1 alone is regular
+        with pytest.raises(SingularBasisError) as alone:
+            run_pc(ds, order=3)
+        with pytest.raises(SingularBasisError) as swept:
+            sweep(ds, "P", [1, 3], with_performance=True)
+        assert str(swept.value) == str(alone.value)
 
     def test_order_axis_with_performance(self, small_ds):
         rows = sweep(small_ds, "P", [1, 3], with_performance=True)

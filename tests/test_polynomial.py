@@ -20,6 +20,7 @@ from xlic.polynomial import (
     basis_term,
     build_basis_matrix,
     ls_fit,
+    nested_columns,
     pc_complexity,
     pc_param_count,
     tc_complexity,
@@ -310,6 +311,41 @@ class TestMonomialChunkFit:
         estimate = np.hstack([apply_basis(explicit, u) for u in chunks])
         reference = apply_basis(explicit, basis)
         assert np.linalg.norm(estimate - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+class TestNestedColumns:
+    @pytest.mark.parametrize("n_tx, depth", [(1, 1), (2, 3), (3, 2)])
+    def test_columns_give_every_smaller_order_bit_for_bit(self, rng, n_tx, depth):
+        big = BasisSpec(n_tx=n_tx, depth=depth, order=7)
+        tx = rng.standard_normal((n_tx, 60)) + 1j * rng.standard_normal((n_tx, 60))
+        full = build_basis_matrix(tx, big)
+        for order in range(1, big.order + 1, 2):
+            spec = BasisSpec(n_tx, depth, order)
+            cols = nested_columns(spec, big)
+            assert full[:, cols].tobytes() == build_basis_matrix(tx, spec).tobytes()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [BasisSpec(2, 3, 5), BasisSpec(2, 4, 1), BasisSpec(1, 3, 1), BasisSpec.linear(2, 3)],
+        ids=["higher_order", "other_depth", "other_n_tx", "linear"],
+    )
+    def test_spec_outside_the_larger_basis_rejected(self, spec):
+        with pytest.raises(ValueError, match="not nested"):
+            nested_columns(spec, BasisSpec(2, 3, 3))
+
+    def test_sub_block_of_the_largest_normal_equations_bit_for_bit(self, rng):
+        # each order's Gram and right-hand sides inside P=7's, read from P=7's chunks
+        big = BasisSpec(n_tx=2, depth=3, order=7)
+        n = CHUNK_ROWS + 500
+        tx = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        labels = rng.standard_normal((2, n - 2)) + 1j * rng.standard_normal((2, n - 2))
+        gram, rhs = _normal_equations(iter(_monomial_chunks(tx, big)), labels, big)
+        for order in (1, 3, 5):
+            spec = replace(big, order=order)
+            cols = nested_columns(spec, big)
+            own_gram, own_rhs = _normal_equations(iter(_monomial_chunks(tx, spec)), labels, spec)
+            assert gram[np.ix_(cols, cols)].tobytes() == own_gram.tobytes()
+            assert rhs[:, cols].tobytes() == own_rhs.tobytes()
 
 
 class TestReconstruct:

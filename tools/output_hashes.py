@@ -7,7 +7,8 @@ every ``CancellerResult`` field, history and weight array of tc, pc (P=3), nnc a
 hc (3 epochs) on a small 2x2 scenario (seeds 1-2) and the default 4x4 one (seed 1);
 ``sweep`` on P (1-7 on the small scenario, whose P=7 basis has the most monomials
 per antenna, 1-3 on the default one) and nh; ``run_pc`` at P=5 and 7 on the default
-seed-1 dataset, where the fit's rounding moves most; and the CLI's exit status,
+seed-1 dataset, where the fit's rounding moves most, and a ``sweep`` over P = 7, 5, 3, 1
+there, whose orders share one pass over the P=7 monomials; and the CLI's exit status,
 stdout, stderr and file bytes, with the epoch CSVs also hashed per column.
 The default scenario's datasets of seeds 2-10, the acceptance seeds, are hashed too,
 as is acceptance criterion 2's explicit-basis path on its noiseless seed-2 dataset:
@@ -156,6 +157,8 @@ library("default", default, (1,), 300, 200, (1, 3))
 default_s1 = xlic.generate_dataset(default, 1)
 for order in (5, 7):
     put_result(f"default/s1/pc_p{order}", harness.run_pc(default_s1, order=order))
+for i, row in enumerate(harness.sweep(default_s1, "P", (7, 5, 3, 1))):
+    put_result(f"default/s1/sweep_P_7531/{i}", row)
 for seed in range(2, 11):
     put_dataset(f"default/s{seed}", xlic.generate_dataset(default, seed))
 explicit_basis()
