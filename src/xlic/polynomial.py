@@ -43,8 +43,13 @@ order's, so its Gram and right-hand sides are sub-blocks of the higher
 order's (:func:`nested_columns`). A P sweep (``harness.sweep``) sums the
 normal equations once, for its largest order, and solves each order from
 a copy of its sub-block. Each order's weights equal its own fit's bit for
-bit as long as BLAS sums each entry of a product in the same order
-whatever the product's width, as OpenBLAS does.
+bit because :func:`_normal_equations` sums its products in order blocks:
+a lower order's entries come from the same BLAS calls, of the same
+shapes, in its own fit as in a higher order's. One product over all
+columns would not do: OpenBLAS picks kernels and threads by a product's
+shape. At one thread a P=7 product rounded some P=1 and P=3 entries
+otherwise than their own products with 1 or 3 tx antennas, and at two
+threads also with 2, on a 498-row chunk.
 """
 
 from __future__ import annotations
@@ -169,6 +174,21 @@ def _chunk_depth(u: np.ndarray, spec: BasisSpec) -> tuple[int, int]:
     return depth, n
 
 
+def _order_blocks(spec: BasisSpec, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """A chunk's columns lowest order first, and where each order's columns end.
+
+    The chunk's ``width`` columns are laid out as :func:`build_basis_matrix`
+    lays out the basis, at the chunk's lag depth. Column ``order[i]`` goes
+    to place ``i``; orders ``<= p`` fill places ``:ends[k]`` for the
+    ``k``-th odd ``p``, so a nested order's columns are a prefix.
+    """
+    orders = [p for p, _ in spec.pq_pairs]
+    per_column = np.repeat(np.tile(orders, spec.n_tx), width // (spec.n_tx * len(orders)))
+    order = np.argsort(per_column, kind="stable")
+    # not np.unique: its first call raises the peak RSS by 2.3 MB
+    return order, np.searchsorted(per_column[order], sorted(set(orders)), side="right")
+
+
 def _normal_equations(basis, labels: np.ndarray, spec: BasisSpec):
     """The Gram of ``spec``'s basis and the conjugated right-hand sides ``(basis^H y)^H``.
 
@@ -176,35 +196,57 @@ def _normal_equations(basis, labels: np.ndarray, spec: BasisSpec):
     monomial ``k`` delayed by ``m``. The chunks sum the Gram's first block
     column; the covariance recursion of the module docstring fills the rest
     from the ``depth - 1`` monomial samples before the first row (``head``)
-    and after the last (``tail``).
+    and after the last (``tail``). Each product runs over the chunk's
+    columns lowest order first (:func:`_order_blocks`), one call per odd
+    ``p``: the rows of orders up to ``p`` against ``p``'s columns, and
+    ``p``'s rows against the lower orders' columns. A nested order's
+    normal equations are thus the same calls in its own fit as in a larger
+    one, whatever BLAS's thread count.
     """
     chunks = basis
     if isinstance(basis, np.ndarray):
         chunks = (basis[a : a + CHUNK_ROWS] for a in range(0, basis.shape[0], CHUNK_ROWS))
     labels = np.atleast_2d(np.asarray(labels, dtype=np.complex128))
-    rhs = np.zeros((labels.shape[0], spec.n_terms), dtype=np.complex128)
     rows = 0
+    reordered = conj = np.empty((0, 0), dtype=np.complex128)
     for u in chunks:
         u = np.ascontiguousarray(u, dtype=np.complex128)
         depth, n = _chunk_depth(u, spec)
         if not rows:
             head = u[: depth - 1].copy()  # copied, as is tail: a view holds its whole chunk
+            order, ends = _order_blocks(spec, u.shape[1])
             column = np.zeros((depth, u.shape[1], u.shape[1]), dtype=np.complex128)
+            rhs_lags = np.zeros((depth, labels.shape[0], u.shape[1]), dtype=np.complex128)
         elif depth != len(column):
             raise ValueError("chunks mix blocks of basis rows and monomial stacks")
         y = labels[:, rows : rows + n].conj()
         rows += n
         if y.shape[1] < n:
             raise ValueError(f"labels have {labels.shape[1]} rows, basis has more")
-        rhs_lags = rhs.reshape(-1, u.shape[1], depth)
-        conj_u = u.conj()
-        for m in range(depth):
-            lagged = slice(depth - 1 - m, depth - 1 - m + n)
-            column[m] += conj_u[lagged].T @ u[depth - 1 : depth - 1 + n]
-            rhs_lags[:, :, m] += y @ u[lagged]
         tail = u[n:].copy()
+        # Both kept across chunks, as fresh ones cost page faults; the second
+        # is made once the first has replaced the chunk. take's default
+        # mode, "raise", would copy through one more buffer.
+        if len(u) > len(reordered):
+            reordered = np.empty_like(u)
+        u = np.take(u, order, axis=1, out=reordered[: len(u)], mode="clip")
+        if len(u) > len(conj):
+            conj = np.empty_like(u)
+        conj_u = np.conjugate(u, out=conj[: len(u)])
+        for m in range(depth):
+            lagged, now = conj_u[depth - 1 - m : depth - 1 - m + n], u[depth - 1 : depth - 1 + n]
+            start = 0
+            for end in ends:
+                column[m, :end, start:end] += lagged[:, :end].T @ now[:, start:end]
+                if start:
+                    column[m, start:end, :start] += lagged[:, start:end].T @ now[:, :start]
+                rhs_lags[m, :, start:end] += y @ u[depth - 1 - m : depth - 1 - m + n, start:end]
+                start = end
     if rows < labels.shape[1]:
         raise ValueError(f"labels have {labels.shape[1]} rows, basis has {rows}")
+    back = np.argsort(order)
+    column = column[:, back][:, :, back]
+    rhs = rhs_lags[:, :, back].transpose(1, 2, 0).reshape(labels.shape[0], spec.n_terms)
     depth, width = column.shape[:2]
     gram = np.empty((spec.n_terms, spec.n_terms), dtype=np.complex128)
     blocks = gram.reshape(width, depth, width, depth).transpose(1, 3, 0, 2)  # [m, m', k, l]

@@ -335,17 +335,27 @@ class TestNestedColumns:
 
     def test_sub_block_of_the_largest_normal_equations_bit_for_bit(self, rng):
         # each order's Gram and right-hand sides inside P=7's, read from P=7's chunks
-        big = BasisSpec(n_tx=2, depth=3, order=7)
-        n = CHUNK_ROWS + 500
-        tx = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
-        labels = rng.standard_normal((2, n - 2)) + 1j * rng.standard_normal((2, n - 2))
-        gram, rhs = _normal_equations(iter(_monomial_chunks(tx, big)), labels, big)
-        for order in (1, 3, 5):
-            spec = replace(big, order=order)
-            cols = nested_columns(spec, big)
-            own_gram, own_rhs = _normal_equations(iter(_monomial_chunks(tx, spec)), labels, spec)
-            assert gram[np.ix_(cols, cols)].tobytes() == own_gram.tobytes()
-            assert rhs[:, cols].tobytes() == own_rhs.tobytes()
+        _assert_sub_blocks_bit_for_bit(rng, n_tx=2, depth=3, rows=CHUNK_ROWS + 500)
+
+    @pytest.mark.parametrize("n_tx, depth, extra", [(1, 1, 500), (1, 3, 500), (3, 2, 300)])
+    def test_sub_block_bit_for_bit_at_any_width(self, rng, n_tx, depth, extra):
+        # one product over all of P=7's columns rounds some P=1 and P=3 entries
+        # otherwise than P=1's and P=3's own products, even at one BLAS thread
+        _assert_sub_blocks_bit_for_bit(rng, n_tx, depth, rows=CHUNK_ROWS + extra)
+
+
+def _assert_sub_blocks_bit_for_bit(rng, n_tx, depth, rows):
+    big = BasisSpec(n_tx=n_tx, depth=depth, order=7)
+    tx = rng.standard_normal((n_tx, rows)) + 1j * rng.standard_normal((n_tx, rows))
+    n = rows - depth + 1
+    labels = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    gram, rhs = _normal_equations(iter(_monomial_chunks(tx, big)), labels, big)
+    for order in (1, 3, 5):
+        spec = replace(big, order=order)
+        cols = nested_columns(spec, big)
+        own_gram, own_rhs = _normal_equations(iter(_monomial_chunks(tx, spec)), labels, spec)
+        assert gram[np.ix_(cols, cols)].tobytes() == own_gram.tobytes()
+        assert rhs[:, cols].tobytes() == own_rhs.tobytes()
 
 
 class TestReconstruct:
