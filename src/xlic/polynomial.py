@@ -25,7 +25,13 @@ last. :func:`ls_fit` therefore sums only the first block column, ``depth``
 products per chunk of ``CHUNK_ROWS + depth - 1`` monomial samples, about
 ``depth / 2`` times fewer flops than ``blk^H blk`` over the same rows' basis
 block, and holds one chunk and one Gram whatever the number of rows; a
-basis matrix is the same sum at lag depth 1, with no blocks to fill.
+basis matrix is the same sum at lag depth 1, with no blocks to fill. For
+pc it sums only half of that block column's rows. The monomials come in
+conjugate pairs, ``basis_term(x, p, p - q) = conj(basis_term(x, p, q))``
+(the widely linear structure of Picinbono and Chevalier, "Widely linear
+estimation with complex data", IEEE Trans. SP 1995), so the rows of one
+monomial of each pair give the other's as conjugates. tc's linear-only
+basis has no pairs and sums every row.
 ``G`` is scaled to unit diagonal in place, its condition checked and
 then solved.
 
@@ -45,7 +51,9 @@ normal equations once, for its largest order, and solves each order from
 a copy of its sub-block. Each order's weights equal its own fit's bit for
 bit because :func:`_normal_equations` sums its products in order blocks:
 a lower order's entries come from the same BLAS calls, of the same
-shapes, in its own fit as in a higher order's. One product over all
+shapes, in its own fit as in a higher order's. Its summed rows are a
+prefix of the higher order's, and each filled row is the conjugate of a
+summed row of the same order. One product over all
 columns would not do: OpenBLAS picks kernels and threads by a product's
 shape. At one thread a P=7 product rounded some P=1 and P=3 entries
 otherwise than their own products with 1 or 3 tx antennas, and at two
@@ -174,19 +182,30 @@ def _chunk_depth(u: np.ndarray, spec: BasisSpec) -> tuple[int, int]:
     return depth, n
 
 
-def _order_blocks(spec: BasisSpec, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """A chunk's columns lowest order first, and where each order's columns end.
+def _order_blocks(spec: BasisSpec, width: int):
+    """A chunk's columns lowest order first, and which of their Gram rows are summed.
 
     The chunk's ``width`` columns are laid out as :func:`build_basis_matrix`
     lays out the basis, at the chunk's lag depth. Column ``order[i]`` goes
     to place ``i``; orders ``<= p`` fill places ``:ends[k]`` for the
     ``k``-th odd ``p``, so a nested order's columns are a prefix.
+    ``partner[c]`` is column ``c``'s conjugate, ``(a, p, p - q, m)`` for
+    ``(a, p, q, m)``, or ``c`` itself where the spec lacks it. The summed
+    rows are the places ``summed`` (ascending) of every column placed no
+    later than its partner, and orders ``<= p`` hold ``summed[:hends[k]]``.
     """
-    orders = [p for p, _ in spec.pq_pairs]
-    per_column = np.repeat(np.tile(orders, spec.n_tx), width // (spec.n_tx * len(orders)))
+    pairs = spec.pq_pairs
+    reps = width // (spec.n_tx * len(pairs))
+    orders = [p for p, _ in pairs]
+    per_column = np.repeat(np.tile(orders, spec.n_tx), reps)
     order = np.argsort(per_column, kind="stable")
     # not np.unique: its first call raises the peak RSS by 2.3 MB
-    return order, np.searchsorted(per_column[order], sorted(set(orders)), side="right")
+    ends = np.searchsorted(per_column[order], sorted(set(orders)), side="right")
+    twin = [pairs.index((p, p - q)) if (p, p - q) in pairs else j for j, (p, q) in enumerate(pairs)]
+    partner = np.arange(width).reshape(spec.n_tx, len(pairs), reps)[:, twin].ravel()
+    place = np.argsort(order)
+    summed = np.flatnonzero(place[partner[order]] >= np.arange(width))
+    return order, ends, summed, np.searchsorted(summed, ends), partner
 
 
 def _normal_equations(basis, labels: np.ndarray, spec: BasisSpec):
@@ -198,24 +217,38 @@ def _normal_equations(basis, labels: np.ndarray, spec: BasisSpec):
     from the ``depth - 1`` monomial samples before the first row (``head``)
     and after the last (``tail``). Each product runs over the chunk's
     columns lowest order first (:func:`_order_blocks`), one call per odd
-    ``p``: the rows of orders up to ``p`` against ``p``'s columns, and
-    ``p``'s rows against the lower orders' columns. A nested order's
-    normal equations are thus the same calls in its own fit as in a larger
-    one, whatever BLAS's thread count.
+    ``p``: the summed rows of orders up to ``p`` against ``p``'s columns,
+    and ``p``'s summed rows against the lower orders' columns. A nested
+    order's normal equations are thus the same calls in its own fit as in a
+    larger one, whatever BLAS's thread count.
+
+    Monomials come in conjugate pairs: in exact arithmetic
+    ``basis_term(x, p, p - q)`` is ``conj(basis_term(x, p, q))``, so block
+    column entry ``[m][partner k, partner l]`` is the conjugate of entry
+    ``[m][k, l]``. The chunks sum only the rows of one column of each pair
+    and of every unpaired column, and the partner rows are filled once per
+    fit as exact conjugates of the summed ones, which halves the products'
+    flops. The two monomials of a pair round differently, so a filled
+    entry can differ from its own sum in the last bits. The right-hand
+    sides are summed whole, as the labels have no such symmetry. A
+    linear-only spec's ``(1, 1)`` column has no partner: tc's and hc's
+    stage-1 fits sum every row and fill none.
     """
     chunks = basis
     if isinstance(basis, np.ndarray):
         chunks = (basis[a : a + CHUNK_ROWS] for a in range(0, basis.shape[0], CHUNK_ROWS))
     labels = np.atleast_2d(np.asarray(labels, dtype=np.complex128))
     rows = 0
-    reordered = conj = np.empty((0, 0), dtype=np.complex128)
+    reordered = conj = np.empty(0, dtype=np.complex128)
     for u in chunks:
         u = np.ascontiguousarray(u, dtype=np.complex128)
         depth, n = _chunk_depth(u, spec)
         if not rows:
             head = u[: depth - 1].copy()  # copied, as is tail: a view holds its whole chunk
-            order, ends = _order_blocks(spec, u.shape[1])
-            column = np.zeros((depth, u.shape[1], u.shape[1]), dtype=np.complex128)
+            order, ends, summed, hends, partner = _order_blocks(spec, u.shape[1])
+            cuts = list(np.flatnonzero(np.diff(order) != 1) + 1)  # runs of consecutive columns
+            runs = list(zip([0, *cuts], [*cuts, len(order)]))
+            column = np.zeros((depth, len(summed), u.shape[1]), dtype=np.complex128)
             rhs_lags = np.zeros((depth, labels.shape[0], u.shape[1]), dtype=np.complex128)
         elif depth != len(column):
             raise ValueError("chunks mix blocks of basis rows and monomial stacks")
@@ -224,34 +257,47 @@ def _normal_equations(basis, labels: np.ndarray, spec: BasisSpec):
         if y.shape[1] < n:
             raise ValueError(f"labels have {labels.shape[1]} rows, basis has more")
         tail = u[n:].copy()
-        # Both kept across chunks, as fresh ones cost page faults; the second
-        # is made once the first has replaced the chunk. take's default
-        # mode, "raise", would copy through one more buffer.
-        if len(u) > len(reordered):
-            reordered = np.empty_like(u)
-        u = np.take(u, order, axis=1, out=reordered[: len(u)], mode="clip")
-        if len(u) > len(conj):
-            conj = np.empty_like(u)
-        conj_u = np.conjugate(u, out=conj[: len(u)])
+        # The chunk's columns in place order and the summed rows' conjugates,
+        # each transposed, so that the products read rows. Both are kept
+        # across chunks, as fresh ones cost page faults; the second is made
+        # once the first has replaced the chunk. The first is copied run by
+        # run: take on a transposed chunk would copy all of it first, and
+        # take's default mode, "raise", through one more buffer.
+        if u.size > len(reordered):
+            reordered = np.empty(u.size, dtype=np.complex128)
+        transposed = reordered[: u.size].reshape(u.T.shape)
+        for a, b in runs:
+            transposed[a:b] = u[:, order[a] : order[a] + b - a].T
+        u = transposed
+        size = len(summed) * u.shape[1]
+        if size > len(conj):
+            conj = np.empty(size, dtype=np.complex128)
+        conj_u = np.take(u, summed, axis=0, out=conj[:size].reshape(len(summed), -1), mode="clip")
+        np.conjugate(conj_u, out=conj_u)
         for m in range(depth):
-            lagged, now = conj_u[depth - 1 - m : depth - 1 - m + n], u[depth - 1 : depth - 1 + n]
-            start = 0
-            for end in ends:
-                column[m, :end, start:end] += lagged[:, :end].T @ now[:, start:end]
+            lagged = conj_u[:, depth - 1 - m : depth - 1 - m + n]
+            now = u[:, depth - 1 : depth - 1 + n]
+            start = hstart = 0
+            for end, hend in zip(ends, hends):
+                column[m, :hend, start:end] += lagged[:hend] @ now[start:end].T
                 if start:
-                    column[m, start:end, :start] += lagged[:, start:end].T @ now[:, :start]
-                rhs_lags[m, :, start:end] += y @ u[depth - 1 - m : depth - 1 - m + n, start:end]
-                start = end
+                    column[m, hstart:hend, :start] += lagged[hstart:hend] @ now[:start].T
+                rhs_lags[m, :, start:end] += y @ u[start:end, depth - 1 - m : depth - 1 - m + n].T
+                start, hstart = end, hend
     if rows < labels.shape[1]:
         raise ValueError(f"labels have {labels.shape[1]} rows, basis has {rows}")
-    back = np.argsort(order)
-    column = column[:, back][:, :, back]
-    rhs = rhs_lags[:, :, back].transpose(1, 2, 0).reshape(labels.shape[0], spec.n_terms)
-    depth, width = column.shape[:2]
+    depth, width = len(column), len(order)
+    summed_columns = order[summed]
+    paired = summed_columns[partner[summed_columns] != summed_columns]
+    first = np.empty((depth, width, width), dtype=np.complex128)
+    first[:, summed_columns[:, None], order] = column
+    first[:, partner[paired]] = first[:, paired][:, :, partner].conj()
+    rhs = rhs_lags[:, :, np.argsort(order)].transpose(1, 2, 0)
+    rhs = rhs.reshape(labels.shape[0], spec.n_terms)
     gram = np.empty((spec.n_terms, spec.n_terms), dtype=np.complex128)
     blocks = gram.reshape(width, depth, width, depth).transpose(1, 3, 0, 2)  # [m, m', k, l]
-    blocks[:, 0] = column
-    blocks[0, 1:] = column[1:].conj().transpose(0, 2, 1)
+    blocks[:, 0] = first
+    blocks[0, 1:] = first[1:].conj().transpose(0, 2, 1)
     for m in range(1, depth):
         for m2 in range(1, depth):
             blocks[m, m2] = (

@@ -1,7 +1,12 @@
 """Tests for the canceller harness: metric, runners, counts and sweeps."""
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +45,34 @@ from xlic.polynomial import (
 from xlic.scenario import generate_dataset
 
 FAST_TRAIN = TrainSettings(epochs=4, learning_rate=1e-3)
+
+# Run by TestThreadCounts in a child interpreter. Prints whether each sweep row
+# equals its run_pc bit for bit, and digests of the dataset, tc's weights, and
+# nnc's and hc's weights and histories.
+THREAD_PROBE = """
+import hashlib, json
+import numpy as np
+from conftest import small_scenario
+from xlic.config import TrainSettings
+from xlic.harness import run_hc, run_nnc, run_pc, run_tc, sweep
+from xlic.polynomial import CHUNK_ROWS
+from xlic.scenario import generate_dataset
+
+def digest(*arrays):
+    return hashlib.sha256(b"".join(np.asarray(a).tobytes() for a in arrays)).hexdigest()
+
+def pc_bytes(res):
+    return np.float64(res.c_db).tobytes() + res.artifacts["coefficients"].weights.tobytes()
+
+ds = generate_dataset(small_scenario(n_samples=3 * CHUNK_ROWS), seed=34)
+equal = [pc_bytes(row) == pc_bytes(run_pc(ds, row.setting)) for row in sweep(ds, "P", [7, 5, 3, 1])]
+outputs = {"dataset": digest(ds.tx, ds.rx), "tc": pc_bytes(run_tc(ds)).hex()}
+cfg = TrainSettings(epochs=3, learning_rate=1e-3)
+for name, res in (("nnc", run_nnc(ds, 16, cfg)), ("hc", run_hc(ds, 16, cfg))):
+    history = (res.train_losses, res.test_losses, res.c_db_history)
+    outputs[name] = digest(*res.artifacts["model"].params(), *history)
+print(json.dumps({"sweep_rows_equal_run_pc": equal, "outputs": outputs}))
+"""
 
 
 @pytest.fixture(scope="module")
@@ -389,3 +422,27 @@ class TestSweep:
     def test_unknown_axis_rejected(self, small_ds):
         with pytest.raises(ValueError, match="axis"):
             sweep(small_ds, "Q", [1])
+
+
+class TestThreadCounts:
+    def test_outputs_at_one_and_two_blas_threads(self):
+        # two child interpreters, each with its own OpenBLAS thread count; a few
+        # seconds. pc at P >= 3 is left out across the two: LAPACK's eigvalsh
+        # and solve round its weights otherwise at each count.
+        path = [str(Path(harness.__file__).parents[1]), str(Path(__file__).parent)]
+        path += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+        reports = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+            child = subprocess.run(
+                [sys.executable, "-c", THREAD_PROBE],
+                env={**env, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert child.returncode == 0, child.stderr
+            reports.append(json.loads(child.stdout))
+        for report in reports:
+            assert report["sweep_rows_equal_run_pc"] == [True] * 4
+        assert reports[0]["outputs"] == reports[1]["outputs"]

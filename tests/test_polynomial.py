@@ -313,6 +313,78 @@ class TestMonomialChunkFit:
         assert np.linalg.norm(estimate - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
+def _partners(spec):
+    """Each basis column's conjugate column: ``(a, p, p - q, m)`` for ``(a, p, q, m)``."""
+    pairs = spec.pq_pairs
+    twin = [pairs.index((p, p - q)) for p, q in pairs]
+    return np.arange(spec.n_terms).reshape(spec.n_tx, len(pairs), spec.depth)[:, twin].ravel()
+
+
+class TestConjugatePairs:
+    CLOSED = [(a, d, p) for a, d in [(1, 1), (1, 3), (3, 2)] for p in (1, 3, 5, 7)]
+
+    @pytest.fixture(params=CLOSED, ids=[f"ntx{a}_depth{d}_P{p}" for a, d, p in CLOSED])
+    def problem(self, request, rng):
+        spec = BasisSpec(*request.param)
+        n = CHUNK_ROWS + 500
+        tx = rng.standard_normal((spec.n_tx, n)) + 1j * rng.standard_normal((spec.n_tx, n))
+        basis = build_basis_matrix(tx, spec)
+        labels = rng.standard_normal((2, len(basis))) + 1j * rng.standard_normal((2, len(basis)))
+        return spec, tx, basis, labels
+
+    def test_normal_equations_match_the_explicit_basis(self, problem):
+        # half the rows summed, half mirrored, against basis^H basis within 1e-13
+        # of the scaled diagonal, from harness's monomial chunks and from the basis
+        spec, tx, basis, labels = problem
+        explicit = basis.conj().T @ basis
+        scale = np.sqrt(np.outer(explicit.diagonal().real, explicit.diagonal().real))
+        for read in (iter(_monomial_chunks(tx, spec)), basis):
+            gram, rhs = _normal_equations(read, labels, spec)
+            assert np.abs((gram - explicit) / scale).max() <= 1e-13
+            assert_allclose(rhs, labels.conj() @ basis, rtol=1e-12)
+
+    def test_mirrored_entries_are_exact_conjugates(self, problem):
+        # every entry the chunks sum: the first block column from monomial
+        # chunks, the whole Gram from a basis matrix (lag depth 1)
+        spec, tx, basis, labels = problem
+        partner = _partners(spec)
+        gram, _ = _normal_equations(iter(_monomial_chunks(tx, spec)), labels, spec)
+        first = np.arange(0, spec.n_terms, spec.depth)
+        assert gram[np.ix_(partner, partner[first])].tobytes() == gram[:, first].conj().tobytes()
+        gram, _ = _normal_equations(basis, labels, spec)
+        assert gram[np.ix_(partner, partner)].tobytes() == gram.conj().tobytes()
+
+    @pytest.mark.parametrize("by_block", [False, True], ids=["monomials", "basis"])
+    def test_linear_fit_sums_every_row_as_one_product(self, rng, by_block):
+        # (1, 1) has no partner: each chunk's first block column and right-hand
+        # sides are one product per lag, conj(lagged)^T @ now and y @ lagged
+        spec = BasisSpec.linear(n_tx=2, depth=5)
+        n = 2 * CHUNK_ROWS + 300
+        tx = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        labels = rng.standard_normal((3, n - 4)) + 1j * rng.standard_normal((3, n - 4))
+        chunks = _monomial_chunks(tx, spec)
+        if by_block:
+            basis = build_basis_matrix(tx, spec)
+            chunks = [basis[a : a + CHUNK_ROWS] for a in range(0, len(basis), CHUNK_ROWS)]
+        depth = 1 if by_block else spec.depth
+        width = spec.n_terms // depth
+        column = np.zeros((depth, width, width), dtype=complex)
+        rhs = np.zeros((depth, 3, width), dtype=complex)
+        done = 0
+        for u in chunks:
+            rows = len(u) - depth + 1
+            y = labels[:, done : done + rows].conj()
+            for m in range(depth):
+                lagged = u[depth - 1 - m : depth - 1 - m + rows]
+                column[m] += np.conj(lagged).T @ u[depth - 1 : depth - 1 + rows]
+                rhs[m] += y @ lagged
+            done += rows
+        gram, got_rhs = _normal_equations(iter(chunks), labels, spec)
+        blocks = gram.reshape(width, depth, width, depth)
+        assert blocks[:, :, :, 0].transpose(1, 0, 2).tobytes() == column.tobytes()
+        assert got_rhs.tobytes() == rhs.transpose(1, 2, 0).reshape(3, -1).tobytes()
+
+
 class TestNestedColumns:
     @pytest.mark.parametrize("n_tx, depth", [(1, 1), (2, 3), (3, 2)])
     def test_columns_give_every_smaller_order_bit_for_bit(self, rng, n_tx, depth):
