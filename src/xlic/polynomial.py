@@ -33,7 +33,11 @@ estimation with complex data", IEEE Trans. SP 1995), so the rows of one
 monomial of each pair give the other's as conjugates. tc's linear-only
 basis has no pairs and sums every row.
 ``G`` is scaled to unit diagonal in place, its condition checked and
-then solved.
+then solved. The check proves the condition bound by a Cholesky test of
+``G`` less a small multiple of the identity, in two blocks
+(:func:`_condition_within_limit`). Only a Gram that the test cannot prove
+pays for ``eigvalsh``, whose eigenvalues then decide as before, with the
+same error message.
 
 The scaling is what makes the normal equations usable here: the unscaled
 P=7 columns of the default 47 dBm data span many decades of power, and an
@@ -75,7 +79,8 @@ COEFFS_KIND = "poly-coeffs"
 CHUNK_ROWS = 4096
 # Largest 2-norm condition of the unit-diagonal Gram that ls_fit solves.
 # The solve's relative error grows as condition * 2.2e-16, so at this limit
-# the weights keep about 4 significant digits.
+# the weights keep about 4 significant digits. A shifted Cholesky test proves
+# the bound; eigvalsh decides only the Grams that the test cannot prove.
 MAX_CONDITION = 1e12
 
 
@@ -328,7 +333,10 @@ def ls_fit(
     as columns. The Gram is scaled to unit diagonal; a basis whose scaled
     Gram is not positive definite with a 2-norm condition of at most
     ``MAX_CONDITION`` raises :class:`SingularBasisError` with the estimate.
-    That check is what lets one LU solve stand for a Cholesky solve.
+    That check is what lets one LU solve stand for a Cholesky solve. A
+    shifted Cholesky test proves the bound in a quarter to a third of
+    ``eigvalsh``'s time (:func:`_condition_within_limit`); a Gram it cannot
+    prove is decided by ``eigvalsh``, with the message it always gave.
     The fit is :func:`_normal_equations` followed by :func:`_solve`.
     """
     labels = np.atleast_2d(labels)
@@ -346,9 +354,12 @@ def _solve(gram: np.ndarray, rhs: np.ndarray, spec: BasisSpec, rows: int) -> Pol
     cond = np.inf
     if np.all(scale > 0):
         np.divide(gram, np.outer(scale, scale), out=gram)
-        eig = np.linalg.eigvalsh(gram)
-        if eig[0] > 0:
-            cond = eig[-1] / eig[0]
+        if _condition_within_limit(gram):
+            cond = MAX_CONDITION  # an upper bound, proven without eigenvalues
+        else:
+            eig = np.linalg.eigvalsh(gram)
+            if eig[0] > 0:
+                cond = eig[-1] / eig[0]
     if cond > MAX_CONDITION:
         raise SingularBasisError(
             f"basis is singular: scaled condition estimate {cond:.3e} "
@@ -356,6 +367,43 @@ def _solve(gram: np.ndarray, rhs: np.ndarray, spec: BasisSpec, rows: int) -> Pol
         )
     solution = np.linalg.solve(gram, rhs.conj().T / scale[:, None]) / scale[:, None]
     return PolyCoefficients(basis=spec, weights=solution.T)
+
+
+def _condition_within_limit(gram: np.ndarray) -> bool:
+    """Whether a shifted Cholesky test proves ``cond2(gram) <= MAX_CONDITION``.
+
+    ``gram`` is Hermitian with unit diagonal. Take ``delta = ||gram||_F /
+    MAX_CONDITION``; the Frobenius norm, summed by ``np.vdot`` without a
+    copy, bounds the largest eigenvalue. If ``gram - delta I`` is positive
+    definite, the smallest eigenvalue exceeds ``delta >= lambda_max /
+    MAX_CONDITION``, up to the factorization's backward error (Higham,
+    "Accuracy and Stability of Numerical Algorithms", 2002, ch. 10) of
+    order ``n * eps * lambda_max``. On the default P=7 Gram of seed 1 that
+    is 20 times below ``delta``, and the smallest eigenvalue is 62-102
+    times ``delta`` on seeds 1-10. ``False`` proves nothing; the caller's
+    eigenvalues then decide.
+
+    The shift is applied to the diagonal in place and its bytes restored.
+    The test factors two blocks: ``A = L L^H`` of the leading half, then
+    the Schur complement ``C - X^H X`` with ``X = L^-1 B``. One
+    ``np.linalg.cholesky`` of the whole Gram holds a copy of it and its
+    factor at once: on a 720-term Gram its first call grew the peak RSS by
+    18.4 MB, against 10.0 MB for ``eigvalsh`` and for this test.
+    """
+    frobenius_sq = np.vdot(gram, gram).real
+    if not np.isfinite(frobenius_sq):
+        return False
+    diagonal = gram.diagonal().copy()
+    np.fill_diagonal(gram, diagonal - np.sqrt(frobenius_sq) / MAX_CONDITION)
+    half = len(gram) // 2
+    try:
+        x = np.linalg.solve(np.linalg.cholesky(gram[:half, :half]), gram[:half, half:])
+        np.linalg.cholesky(gram[half:, half:] - x.conj().T @ x)
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        np.fill_diagonal(gram, diagonal)
+    return True
 
 
 def nested_columns(spec: BasisSpec, big: BasisSpec) -> np.ndarray:

@@ -12,9 +12,11 @@ from xlic.channel import draw_channel
 from xlic.harness import run_tc
 from xlic.polynomial import (
     CHUNK_ROWS,
+    MAX_CONDITION,
     BasisSpec,
     PolyCoefficients,
     SingularBasisError,
+    _condition_within_limit,
     _normal_equations,
     apply_basis,
     basis_term,
@@ -428,6 +430,125 @@ def _assert_sub_blocks_bit_for_bit(rng, n_tx, depth, rows):
         own_gram, own_rhs = _normal_equations(iter(_monomial_chunks(tx, spec)), labels, spec)
         assert gram[np.ix_(cols, cols)].tobytes() == own_gram.tobytes()
         assert rhs[:, cols].tobytes() == own_rhs.tobytes()
+
+
+def _eigenvalue_rule(basis, labels, spec):
+    """The error message of the eigenvalue check on the scaled Gram, or None."""
+    gram, _ = _normal_equations(basis, labels, spec)
+    scale = np.sqrt(gram.diagonal().real)
+    cond = np.inf
+    if np.all(scale > 0):
+        eig = np.linalg.eigvalsh(gram / np.outer(scale, scale))
+        if eig[0] > 0:
+            cond = eig[-1] / eig[0]
+    if cond > MAX_CONDITION:
+        return (
+            f"basis is singular: scaled condition estimate {cond:.3e} "
+            f"(limit {MAX_CONDITION:.0e})"
+        )
+    return None
+
+
+def _fit_outcome(basis, labels, spec):
+    """``ls_fit``'s error message, or None if it fits."""
+    try:
+        ls_fit(basis, labels, spec)
+    except SingularBasisError as err:
+        return str(err)
+    return None
+
+
+def _near_dependent_basis(rng, eps, n_terms=24, rows=400):
+    """Random columns, the last one the first plus ``eps`` times a random column.
+
+    The scaled condition is about ``5 / eps**2`` for 24 columns and 400 rows.
+    """
+    basis = rng.standard_normal((rows, n_terms)) + 1j * rng.standard_normal((rows, n_terms))
+    basis[:, -1] = basis[:, 0] + eps * basis[:, -1]
+    labels = rng.standard_normal((1, rows)) + 1j * rng.standard_normal((1, rows))
+    return basis, labels, BasisSpec.linear(1, n_terms)
+
+
+def _scaled_gram(basis, labels, spec):
+    gram, _ = _normal_equations(basis, labels, spec)
+    scale = np.sqrt(gram.diagonal().real)
+    return gram / np.outer(scale, scale)
+
+
+class TestConditionCheck:
+    # eps of _near_dependent_basis, with the scaled condition it gives; 2.7e-6
+    # lies where the shifted Cholesky test proves nothing and the eigenvalues
+    # still accept
+    EPS = [2.2e-4, 2.2e-5, 7e-6, 2.7e-6, 2e-6, 7e-7, 7e-8, 1e-8]
+    CONDS = ["1e8", "1e10", "1e11", "7e11", "1.3e12", "1e13", "8e14", "4e15"]
+
+    @pytest.mark.parametrize("eps", EPS, ids=CONDS)
+    def test_decision_and_message_match_the_eigenvalue_rule(self, rng, eps):
+        problem = _near_dependent_basis(rng, eps)
+        assert _fit_outcome(*problem) == _eigenvalue_rule(*problem)
+
+    def test_eigenvalues_decide_where_the_shifted_test_proves_nothing(self, rng, monkeypatch):
+        problem = _near_dependent_basis(rng, 2.7e-6)
+        gram = _scaled_gram(*problem)
+        eig = np.linalg.eigvalsh(gram)
+        assert 1e11 < eig[-1] / eig[0] <= MAX_CONDITION
+        assert not _condition_within_limit(gram)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        ls_fit(*problem)
+        assert calls == [1]
+
+    def test_well_conditioned_p7_fit_never_calls_eigvalsh(self, rng, monkeypatch):
+        spec = BasisSpec(n_tx=2, depth=2, order=7)
+        n = CHUNK_ROWS + 500
+        tx = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        labels = rng.standard_normal((2, n - 1)) + 1j * rng.standard_normal((2, n - 1))
+        gram, rhs = _normal_equations(iter(_monomial_chunks(tx, spec)), labels, spec)
+        scale = np.sqrt(gram.diagonal().real)
+        np.divide(gram, np.outer(scale, scale), out=gram)
+        expected = np.linalg.solve(gram, rhs.conj().T / scale[:, None]) / scale[:, None]
+
+        def refuse(a):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        fitted = ls_fit(iter(_monomial_chunks(tx, spec)), labels, spec)
+        # the shifted diagonal is restored before the solve: the same bits
+        assert fitted.weights.tobytes() == expected.T.tobytes()
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-7], ids=["proved", "not_proved"])
+    def test_gram_bytes_restored(self, rng, eps):
+        gram = _scaled_gram(*_near_dependent_basis(rng, eps))
+        before = gram.tobytes()
+        assert _condition_within_limit(gram) == (eps == 1e-3)
+        assert gram.tobytes() == before
+
+    def test_non_finite_gram_proves_nothing(self):
+        gram = np.eye(4, dtype=complex)
+        gram[3, 2] = gram[2, 3] = np.nan
+        assert not _condition_within_limit(gram)
+
+    @pytest.mark.parametrize(
+        "n_tx, depth, dependent",
+        [(1, 1, False), (1, 1, True), (1, 2, False), (1, 2, True), (2, 1, False), (2, 1, True)],
+        ids=["1", "1_zero", "2_lags", "2_lags_equal", "2_tx", "2_tx_equal"],
+    )
+    def test_one_and_two_terms(self, rng, n_tx, depth, dependent):
+        # one block of the test is empty or 1x1; a zero column or two equal ones
+        # raise as the eigenvalue rule does
+        spec = BasisSpec.linear(n_tx, depth)
+        tx = rng.standard_normal((n_tx, 60)) + 1j * rng.standard_normal((n_tx, 60))
+        if dependent:
+            tx[:] = 0 if spec.n_terms == 1 else 1
+        basis = build_basis_matrix(tx, spec)
+        labels = rng.standard_normal((1, len(basis))) + 1j * rng.standard_normal((1, len(basis)))
+        outcome = _fit_outcome(basis, labels, spec)
+        assert outcome == _eigenvalue_rule(basis, labels, spec)
+        assert (outcome is not None) == dependent
+        if not dependent:
+            reference = np.linalg.lstsq(basis, labels[0], rcond=None)[0]
+            assert_allclose(ls_fit(basis, labels, spec).weights[0], reference, rtol=1e-12)
 
 
 class TestReconstruct:

@@ -20,9 +20,10 @@ object and the ADC switched off.
 
 Run with the thread pin below set to 2, 35 digests differ from a run at one
 thread, each of a pc fit at P >= 3 (criterion 2's explicit P=3 fit included):
-LAPACK's ``eigvalsh`` and solve round the weights otherwise, while the normal
-equations keep their bytes. Every dataset, tc, P=1, nnc, hc and CLI digest is
-equal at both counts.
+``np.linalg.solve`` rounds the weights otherwise, while the normal equations keep
+their bytes. The condition check before it decides whether to solve and never
+touches the weights. Every dataset, tc, P=1, nnc, hc and CLI digest is equal at
+both counts.
 """
 
 import contextlib
